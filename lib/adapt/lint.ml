@@ -15,8 +15,9 @@ let errors issues = List.filter (fun i -> i.severity = Error) issues
 let make issues severity rule fmt =
   Format.kasprintf (fun message -> issues := { severity; rule; message } :: !issues) fmt
 
-(* -- Eq. 2: the block precedence graph must be acyclic -- *)
-let check_precedence issues (part : Block.t) =
+(* -- Eq. 2: the block precedence graph must be acyclic. Returns the
+   Kahn order of the blocks when it is. -- *)
+let precedence_order issues (part : Block.t) =
   let n = Array.length part.Block.blocks in
   let err fmt = make issues Error "precedence-acyclic" fmt in
   let ok = ref true in
@@ -31,7 +32,8 @@ let check_precedence issues (part : Block.t) =
         ok := false
       end)
     part.Block.deps;
-  if !ok && n > 0 then begin
+  if not !ok then None
+  else begin
     (* Kahn's algorithm; leftover nodes form the cycles *)
     let indeg = Array.make n 0 in
     let succs = Array.make n [] in
@@ -42,21 +44,23 @@ let check_precedence issues (part : Block.t) =
       part.Block.deps;
     let queue = Queue.create () in
     Array.iteri (fun b d -> if d = 0 then Queue.add b queue) indeg;
-    let seen = ref 0 in
+    let order = ref [] in
     while not (Queue.is_empty queue) do
       let b = Queue.pop queue in
-      incr seen;
+      order := b :: !order;
       List.iter
         (fun b' ->
           indeg.(b') <- indeg.(b') - 1;
           if indeg.(b') = 0 then Queue.add b' queue)
         succs.(b)
     done;
-    if !seen <> n then begin
+    if List.length !order = n then Some (List.rev !order)
+    else begin
       let stuck = ref [] in
       Array.iteri (fun b d -> if d > 0 then stuck := b :: !stuck) indeg;
       err "precedence graph has a cycle through blocks {%s}"
-        (String.concat ", " (List.rev_map string_of_int !stuck))
+        (String.concat ", " (List.rev_map string_of_int !stuck));
+      None
     end
   end
 
@@ -212,10 +216,39 @@ let check_model ?conflict_pairs hw part subs =
     match conflict_pairs with Some p -> p | None -> Rules.conflicts subs
   in
   let issues = ref [] in
-  check_precedence issues part;
+  ignore (precedence_order issues part);
   check_coverage issues part;
   check_mutual_exclusion issues pairs subs;
   check_deltas issues hw part subs;
+  List.rev !issues
+
+(* -- Eq. 2/3: the claimed makespan is the longest dependency path.
+   Recomputed from the Kahn order above, independently of the model's
+   own critical-path code. -- *)
+let check_schedule (part : Block.t) ~durations ~makespan =
+  let issues = ref [] in
+  let err fmt = make issues Error "schedule-makespan" fmt in
+  let n = Array.length part.Block.blocks in
+  (if Array.length durations <> n then
+     err "%d durations for %d blocks" (Array.length durations) n
+   else
+     match precedence_order issues part with
+     | None -> ()
+     | Some order ->
+       let preds = Array.make n [] in
+       List.iter (fun (b', b) -> preds.(b) <- b' :: preds.(b)) part.Block.deps;
+       let finish = Array.make n 0 in
+       List.iter
+         (fun b ->
+           let start =
+             List.fold_left (fun acc p -> max acc finish.(p)) 0 preds.(b)
+           in
+           finish.(b) <- start + durations.(b))
+         order;
+       let longest = Array.fold_left max 0 finish in
+       if longest <> makespan then
+         err "claimed makespan %d ns, but the longest dependency path is %d ns"
+           makespan longest);
   List.rev !issues
 
 let certify_adaptation hw ~original ~adapted ?claimed_makespan

@@ -41,6 +41,16 @@ val check_model :
     truncated Eq. 1 clique) is an error, a pair of non-overlapping ones
     a warning. *)
 
+val check_schedule :
+  Block.t -> durations:int array -> makespan:int -> issue list
+(** [check_schedule part ~durations ~makespan] checks a solved schedule
+    (Eq. 2/3): given the per-block [durations] the chosen substitutions
+    imply, [makespan] must {e equal} the longest path through the block
+    dependencies (rule ["schedule-makespan"]). The path is recomputed
+    from the precedence check's own topological order and shares no
+    code with the model. A cyclic or malformed precedence graph is
+    reported under ["precedence-acyclic"]. *)
+
 val certify_adaptation :
   Hardware.t ->
   original:Circuit.t ->

@@ -1,9 +1,7 @@
 module Block = Qca_circuit.Block
 module Circuit = Qca_circuit.Circuit
 open Qca_sat
-module Smt = Qca_smt.Smt
 module Totalizer = Qca_pseudo_bool.Totalizer
-module Dl = Qca_diff_logic.Dl
 module Fault = Qca_util.Fault
 module Obs = Qca_obs.Metrics
 module Trace = Qca_obs.Trace
@@ -30,7 +28,7 @@ type t = {
   hw : Hardware.t;
   part : Block.t;
   subs : Rules.t array;
-  smt : Smt.t;
+  sat : Solver.t;
   choice : Lit.t array;  (* c_s per substitution id *)
   base_dur : int array;  (* D(b) *)
   base_fid : int array;  (* log F(b), fixed point *)
@@ -80,21 +78,21 @@ let critical_path part durations = fst (critical_path_detail part durations)
 let subs_of_block subs b =
   Array.to_list subs |> List.filter (fun s -> s.Rules.block_id = b)
 
-(* The SMT model keeps the Boolean structure (choice variables and the
+(* The model keeps the Boolean structure (choice variables and the
    Eq. 1 mutual-exclusion clauses) in the CDCL solver; the scheduling
-   theory (Eq. 2/3) participates through lazily generated critical-path
-   lemmas during optimization — see [optimize] — and through a final
-   difference-logic verification of the returned schedule. *)
+   constraints (Eq. 2/3) participate through lazily generated
+   critical-path lemmas during optimization — see [optimize] — and the
+   returned schedule is cross-checked by {!Lint.check_schedule}. *)
 let build ?options hw part subs_list =
-  let smt = Smt.create ?options () in
+  let sat = Solver.create ?options () in
   let subs = Array.of_list subs_list in
   let n_subs = Array.length subs in
-  let choice = Array.init n_subs (fun _ -> Lit.pos (Smt.new_bool smt)) in
+  let choice = Array.init n_subs (fun _ -> Lit.pos (Solver.new_var sat)) in
   Array.iter (fun s -> assert (s.Rules.id < n_subs)) subs;
   (* Eq. 1: overlapping substitutions exclude each other. *)
   let conflict_pairs = Rules.conflicts subs_list in
   List.iter
-    (fun (i, j) -> Smt.add_clause smt [ Lit.negate choice.(i); Lit.negate choice.(j) ])
+    (fun (i, j) -> Solver.add_clause sat [ Lit.negate choice.(i); Lit.negate choice.(j) ])
     conflict_pairs;
   let n_blocks = Array.length part.Block.blocks in
   let base_dur =
@@ -113,13 +111,13 @@ let build ?options hw part subs_list =
         |> max 0)
   in
   let d_lb = critical_path part min_dur in
-  let false_var = Smt.new_bool smt in
-  Smt.add_clause smt [ Lit.neg_of_var false_var ];
+  let false_var = Solver.new_var sat in
+  Solver.add_clause sat [ Lit.neg_of_var false_var ];
   {
     hw;
     part;
     subs;
-    smt;
+    sat;
     choice;
     base_dur;
     base_fid;
@@ -200,7 +198,6 @@ type solution = {
   objective_value : int;
   makespan : int;
   rounds : int;
-  theory_conflicts : int;
   proven_optimal : bool;
   stopped : Solver.stop_reason option;
 }
@@ -208,32 +205,7 @@ type solution = {
 type error =
   [ `Already_consumed | `Budget_exhausted of Solver.stop_reason ]
 
-(* Verify the chosen schedule with the independent difference-logic
-   solver: start times obeying Eq. 2 with the chosen durations must be
-   consistent together with "every block finishes by [makespan]". *)
-let verify_schedule t chosen_mask makespan =
-  let durations = durations_for t chosen_mask in
-  let n = Array.length t.part.Block.blocks in
-  (* vars: 0 = origin, 1..n = block starts *)
-  let constraints =
-    (* e_b − origin ≥ 0  ⟺  origin − e_b ≤ 0 *)
-    List.concat
-      [
-        List.init n (fun b -> { Dl.x = 0; y = b + 1; k = 0; tag = () });
-        (* e_b + dur_b ≤ makespan ⟺ e_b − origin ≤ makespan − dur_b *)
-        List.init n (fun b ->
-            { Dl.x = b + 1; y = 0; k = makespan - durations.(b); tag = () });
-        (* Eq. 2: e_b ≥ e_b' + dur_b' ⟺ e_b' − e_b ≤ −dur_b' *)
-        List.map
-          (fun (b', b) -> { Dl.x = b' + 1; y = b + 1; k = -durations.(b'); tag = () })
-          t.part.Block.deps;
-      ]
-  in
-  match Dl.check ~num_vars:(n + 1) constraints with
-  | Dl.Consistent _ -> true
-  | Dl.Negative_cycle _ -> false
-
-let sat_stats t = Smt.sat_stats t.smt
+let sat_stats t = Solver.stats t.sat
 
 let default_round_budget = 120
 
@@ -252,7 +224,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
      in the live solver. One-shot runs add them permanently (no guard
      overhead on the common path). *)
   let act =
-    if reuse then Some (Lit.pos (Smt.new_bool t.smt)) else None
+    if reuse then Some (Lit.pos (Solver.new_var t.sat)) else None
   in
   let run_assumptions = match act with None -> [] | Some a -> [ a ] in
   let guard_clause lits =
@@ -272,7 +244,7 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
     Array.to_list (Array.mapi (fun i w -> (t.choice.(i), w)) terms.weights)
     |> List.filter (fun (_, w) -> w <> 0)
   in
-  let sat = Smt.solver t.smt in
+  let sat = t.sat in
   (* One totalizer serves every pruning bound of the optimization: the
      bound only shrinks as the incumbent improves, so it is built once
      at the warm-start budget and queried per round. Memoized per
@@ -540,7 +512,10 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
     | None -> assert false (* the warm start is an incumbent *)
     | Some (v, mask, d) ->
       retire ();
-      assert (verify_schedule t mask d);
+      assert (
+        Lint.check_schedule t.part ~durations:(durations_for t mask)
+          ~makespan:d
+        = []);
       Ok
         {
           chosen =
@@ -548,7 +523,6 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
           objective_value = v;
           makespan = d;
           rounds = !rounds;
-          theory_conflicts = !cuts;
           proven_optimal = !proven;
           stopped = !stopped;
         })

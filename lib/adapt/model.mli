@@ -1,17 +1,19 @@
 module Block = Qca_circuit.Block
 open Qca_sat
 
-(** The SMT model of section IV-C.
+(** The adaptation model of section IV-C, solved by CDCL.
 
-    Variables: a Boolean [c_s] per substitution (set C), a start-time
-    integer [e_b] per block (set E), derived finish times realizing the
-    block durations of Eq. 3 as conditional difference-logic chains, and
-    the total circuit duration [D]. Constraints: mutual exclusion of
-    overlapping substitutions (Eq. 1), block dependencies (Eq. 2), and
-    duration/fidelity accumulation (Eq. 3–6, log-fidelities in 1e6·ln
-    fixed point). Objectives (Eq. 8–10) are optimized exactly by the
-    branch-and-bound OMT driver of {!Qca_smt.Smt.minimize} with
-    admissible pseudo-Boolean and makespan pruning. *)
+    The solver holds one Boolean [c_s] per substitution (set C) and the
+    mutual-exclusion clauses of overlapping substitutions (Eq. 1). The
+    schedule (Eq. 2/3: block dependencies and the block durations the
+    chosen substitutions imply) is never encoded as integer variables:
+    the OMT driver in {!optimize} evaluates each candidate's critical
+    path exactly and feeds it back as lazy linear cuts over the [c_s].
+    Objectives (Eq. 8–10, log-fidelities in 1e6·ln fixed point) are
+    minimized by bound tightening over a totalizer encoding, with an
+    admissible makespan lower bound; optimality is closed by an UNSAT
+    answer. The returned schedule is cross-checked by
+    {!Lint.check_schedule}. *)
 
 type objective =
   | Sat_f  (** fidelity objective, Eq. 8 *)
@@ -36,7 +38,6 @@ type solution = {
   objective_value : int;  (** minimized integer objective *)
   makespan : int;  (** optimal circuit duration for the chosen set *)
   rounds : int;  (** OMT improvement rounds *)
-  theory_conflicts : int;  (** lazily generated scheduling lemmas *)
   proven_optimal : bool;
       (** true when the search closed with an UNSAT certificate; false
           when the anytime round budget stopped it at the incumbent *)
@@ -104,6 +105,6 @@ val evaluate_choice : t -> objective -> Rules.t list -> int
     substitutions (used by tests and the greedy heuristic). *)
 
 val sat_stats : t -> Solver.stats
-(** Counters of the CDCL solver underlying the model's SMT instance
-    (conflicts, propagations, learnt-clause minimization, arena
-    GCs, ...). Valid before and after {!optimize}. *)
+(** Counters of the CDCL solver underlying the model (conflicts,
+    propagations, learnt-clause minimization, arena GCs, ...). Valid
+    before and after {!optimize}. *)

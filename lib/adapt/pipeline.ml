@@ -52,10 +52,9 @@ type info = {
   substitutions_considered : int;
   substitutions_chosen : int;
   omt_rounds : int;
-  theory_conflicts : int;
 }
 
-let no_info = { substitutions_considered = 0; substitutions_chosen = 0; omt_rounds = 0; theory_conflicts = 0 }
+let no_info = { substitutions_considered = 0; substitutions_chosen = 0; omt_rounds = 0 }
 
 (* Splice a conflict-free choice of substitutions into the circuit:
    blocks are emitted in dependency order; within a block, a gate opens
@@ -109,16 +108,11 @@ let kak_only ent part =
   Circuit.merge_single_qubit_runs
     (Circuit.of_gates (Circuit.num_qubits part.Block.circuit) (List.rev !out))
 
+let compatible chosen s = not (List.exists (Rules.overlap s) chosen)
+
 (* Greedy local template optimization: scan matches in circuit order and
    accept any compatible match that improves the local cost. *)
 let template_choose metric subs =
-  let compatible chosen s =
-    not
-      (List.exists
-         (fun (s' : Rules.t) ->
-           List.exists (fun i -> List.mem i s'.Rules.substituted) s.Rules.substituted)
-         chosen)
-  in
   List.fold_left
     (fun chosen (s : Rules.t) ->
       match s.Rules.kind with
@@ -133,13 +127,6 @@ let template_choose metric subs =
    the most. Governed per refinement step; an interruption keeps the
    substitutions chosen so far (still conflict-free, still valid). *)
 let greedy_choose_governed ?(budget = Solver.no_budget) model obj subs =
-  let compatible chosen s =
-    not
-      (List.exists
-         (fun (s' : Rules.t) ->
-           List.exists (fun i -> List.mem i s'.Rules.substituted) s.Rules.substituted)
-         chosen)
-  in
   let governed () =
     match Solver.budget_status budget with
     | Some r -> Some r
@@ -221,7 +208,6 @@ let adapt_with_info ?options ?(jobs = 1) ?(incremental = true) ?(share = true)
         substitutions_considered = List.length subs;
         substitutions_chosen = List.length sol.Model.chosen;
         omt_rounds = sol.Model.rounds;
-        theory_conflicts = sol.Model.theory_conflicts;
       } )
   | Greedy obj ->
     let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
@@ -326,14 +312,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
         | Direct_fallback -> 3
       in
       Ring.record k_degrade tier_ix
-        (match reason with
-        | None -> -1
-        | Some Solver.Out_of_conflicts -> 0
-        | Some Solver.Out_of_propagations -> 1
-        | Some Solver.Deadline -> 2
-        | Some Solver.Cancelled -> 3
-        | Some Solver.Out_of_rounds -> 4
-        | Some Solver.Theory_divergence -> 5)
+        (match reason with None -> -1 | Some r -> Solver.stop_reason_index r)
         budget.Solver.conflicts_spent;
       Trace.instant "degrade"
         ~args:
@@ -382,7 +361,6 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
             substitutions_considered = List.length subs;
             substitutions_chosen = List.length sol.Model.chosen;
             omt_rounds = sol.Model.rounds;
-            theory_conflicts = sol.Model.theory_conflicts;
           }
         in
         let tier, reason =

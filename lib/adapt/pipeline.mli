@@ -36,7 +36,6 @@ type info = {
   substitutions_considered : int;
   substitutions_chosen : int;
   omt_rounds : int;  (** 0 for non-SAT methods *)
-  theory_conflicts : int;
 }
 
 val adapt :

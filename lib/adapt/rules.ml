@@ -145,11 +145,11 @@ let find_all hw part =
          let kak = kak_substitutions hw part blk ~fresh in
          List.rev local @ kak)
 
+let overlap s1 s2 =
+  List.exists (fun i -> List.mem i s2.substituted) s1.substituted
+
 let conflicts subs =
   let arr = Array.of_list subs in
-  let overlap s1 s2 =
-    List.exists (fun i -> List.mem i s2.substituted) s1.substituted
-  in
   let pairs = ref [] in
   Array.iteri
     (fun i s1 ->

@@ -40,6 +40,11 @@ val find_all : Hardware.t -> Block.t -> t list
     whose KAK circuit actually differs from the reference cost profile
     is well-defined (i.e. every [Pair] block). *)
 
+val overlap : t -> t -> bool
+(** The substitution-overlap relation: the two matches substitute at
+    least one common source gate, so at most one of them may be chosen
+    (Eq. 1). *)
+
 val conflicts : t list -> (int * int) list
 (** Pairs of substitution ids with overlapping [substituted] sets
     (Eq. 1). *)

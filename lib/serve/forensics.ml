@@ -221,7 +221,7 @@ let service_live_dump ~dir ~max_files =
    Samples the solver's Atomic counters: when requests are in flight
    but conflicts and propagations have both been flat for
    [stall_samples] consecutive periods, the solver is burning wall
-   clock without searching — a lock-up, a livelock, or a stuck theory
+   clock without searching — a lock-up or a livelock outside the CDCL
    loop. That is a ring event, a counter, and (when a dump directory
    is armed) a rate-limited dump. *)
 

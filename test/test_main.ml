@@ -17,8 +17,6 @@ let () =
       ("sat", Test_sat.suite);
       ("simplify", Test_simplify.suite);
       ("pseudo_bool", Test_pseudo_bool.suite);
-      ("diff_logic", Test_diff_logic.suite);
-      ("smt", Test_smt.suite);
       ("adapt", Test_adapt.suite);
       ("sim", Test_sim.suite);
       ("workloads", Test_workloads.suite);

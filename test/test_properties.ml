@@ -1,5 +1,5 @@
 (* Cross-module property tests: invariants that tie the layers
-   together (scheduling vs metrics, SMT vs direct longest-path, KAK
+   together (scheduling vs metrics, Lint vs direct longest-path, KAK
    bounds, merge idempotence, pipeline determinism). *)
 
 module Circuit = Qca_circuit.Circuit
@@ -8,7 +8,6 @@ module Block = Qca_circuit.Block
 module Schedule = Qca_circuit.Schedule
 module Synth = Qca_circuit.Synth
 module Rng = Qca_util.Rng
-module Smt = Qca_smt.Smt
 open Qca_adapt
 open Qca_linalg
 open Qca_quantum
@@ -113,9 +112,21 @@ let prop_pipeline_deterministic =
            (Array.to_list (Circuit.gates a1))
            (Array.to_list (Circuit.gates a2)))
 
-(* The SMT layer's minimal makespan (binary search over D ≤ K atoms)
-   must agree with the direct longest-path computation. *)
-let test_smt_makespan_agrees_with_longest_path () =
+(* Lint's schedule check must accept exactly the longest dependency
+   path — for random block durations (path computed here from the
+   partition's own topological order) and for the makespans the model
+   returns (durations rebuilt from the chosen substitutions' deltas). *)
+let test_lint_schedule_is_longest_path () =
+  let accepts part durations makespan =
+    checkb "accepts the longest path" true
+      (Lint.check_schedule part ~durations ~makespan = []);
+    List.iter
+      (fun off ->
+        match Lint.check_schedule part ~durations ~makespan:(makespan + off) with
+        | [ { Lint.severity = Lint.Error; rule = "schedule-makespan"; _ } ] -> ()
+        | _ -> Alcotest.failf "makespan %+d not rejected" off)
+      [ -1; 1 ]
+  in
   let rng = Rng.create 91 in
   for _ = 1 to 10 do
     let c = random_ibm_circuit rng 3 15 in
@@ -125,7 +136,6 @@ let test_smt_makespan_agrees_with_longest_path () =
         (fun _ -> 50 + Rng.int rng 300)
         part.Block.blocks
     in
-    (* longest path directly *)
     let finish = Array.make (Array.length part.Block.blocks) 0 in
     List.iter
       (fun b ->
@@ -134,38 +144,27 @@ let test_smt_makespan_agrees_with_longest_path () =
         in
         finish.(b) <- s + durations.(b))
       (Block.topological_order part);
-    let expected = Array.fold_left max 0 finish in
-    (* the same via the SMT difference-logic layer *)
-    let smt = Smt.create () in
-    let o = Smt.origin smt in
-    let starts =
-      Array.mapi (fun b _ -> Smt.new_int smt (Printf.sprintf "e%d" b)) durations
+    accepts part durations (Array.fold_left max 0 finish);
+    let subs = Rules.find_all hw part in
+    let sol =
+      Result.get_ok (Model.optimize (Model.build hw part subs) Model.Sat_p)
     in
-    let d = Smt.new_int smt "D" in
-    Array.iteri
-      (fun b e ->
-        Smt.add_clause smt [ Smt.atom_ge smt e o 0 ];
-        Smt.add_clause smt [ Smt.atom_ge smt d e durations.(b) ])
-      starts;
+    let durations =
+      Array.mapi
+        (fun b _ -> Rules.block_reference_duration hw part b)
+        part.Block.blocks
+    in
     List.iter
-      (fun (b', b) ->
-        Smt.add_clause smt [ Smt.atom_ge smt starts.(b) starts.(b') durations.(b') ])
-      part.Block.deps;
-    let feasible k = Smt.solve ~assumptions:[ Smt.atom_le smt d o k ] smt = Smt.Sat in
-    (* binary search the minimal K *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if feasible mid then search lo mid else search (mid + 1) hi
-    in
-    let found = search 0 (Array.fold_left ( + ) 0 durations) in
-    Alcotest.check Alcotest.int "minimal makespan" expected found
+      (fun (s : Rules.t) ->
+        durations.(s.Rules.block_id) <-
+          durations.(s.Rules.block_id) + s.Rules.delta_duration)
+      sol.Model.chosen;
+    accepts part durations sol.Model.makespan
   done
 
 let test_verified_schedules () =
-  (* Model.optimize re-verifies its schedule with the DL solver; run it
-     over a batch of random circuits so the assert is exercised *)
+  (* Model.optimize re-verifies its schedule with Lint.check_schedule;
+     run it over a batch of random circuits so the assert is exercised *)
   let rng = Rng.create 101 in
   for _ = 1 to 5 do
     let c = random_ibm_circuit rng 3 14 in
@@ -186,6 +185,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_kak_cost_bound;
     QCheck_alcotest.to_alcotest prop_canonicalize_idempotent;
     QCheck_alcotest.to_alcotest prop_pipeline_deterministic;
-    ("smt makespan = longest path", `Quick, test_smt_makespan_agrees_with_longest_path);
+    ("lint schedule = longest path", `Quick, test_lint_schedule_is_longest_path);
     ("verified schedules", `Quick, test_verified_schedules);
   ]
