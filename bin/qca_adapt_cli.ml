@@ -60,7 +60,7 @@ let read_input = function
     with Sys_error msg -> Error msg)
 
 let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
-    no_simplify no_incremental no_share certify metrics trace_out =
+    no_simplify no_share certify metrics trace_out =
   obs_start ~metrics ~trace_out;
   let ( let* ) = Result.bind in
   let result =
@@ -81,9 +81,8 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
       { Solver.default_options with use_simplify = not no_simplify }
     in
     let o =
-      Pipeline.adapt_governed ~options ~budget ~jobs
-        ~incremental:(not no_incremental) ~share:(not no_share) hw method_
-        circuit
+      Pipeline.adapt_governed ~options ~budget ~jobs ~share:(not no_share) hw
+        method_ circuit
     in
     let baseline =
       Metrics.summarize hw (Pipeline.adapt hw Pipeline.Direct circuit)
@@ -178,14 +177,6 @@ let no_simplify_arg =
   in
   Arg.(value & flag & info [ "no-simplify" ] ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Rebuild the solver from scratch on every OMT round instead of keeping \
-     one incremental solver alive across rounds (the measured baseline; the \
-     objective value is identical either way)."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let no_share_arg =
   let doc =
     "Disable the lock-free learnt-clause exchange between portfolio seats \
@@ -219,7 +210,7 @@ let cmd =
   Cmd.v (Cmd.info "qca-adapt" ~doc)
     Term.(
       const run $ method_arg $ hw_arg $ input_arg $ show_arg $ timeout_arg
-      $ conflicts_arg $ jobs_arg $ no_simplify_arg $ no_incremental_arg
-      $ no_share_arg $ certify_arg $ metrics_arg $ trace_out_arg)
+      $ conflicts_arg $ jobs_arg $ no_simplify_arg $ no_share_arg
+      $ certify_arg $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -52,8 +52,8 @@ let artifacts = [ "table1"; "eq11"; "fig5"; "fig6"; "fig7"; "all" ]
 let suite fast =
   if fast then Workloads.simulation_suite () else Workloads.evaluation_suite ()
 
-let run what hw_name fast timeout_ms jobs no_simplify no_incremental no_share
-    csv_out metrics trace_out =
+let run what hw_name fast timeout_ms jobs no_simplify no_share csv_out metrics
+    trace_out =
   obs_start ~metrics ~trace_out;
   let checked =
     if List.mem what artifacts then hw_of_string hw_name
@@ -88,8 +88,7 @@ let run what hw_name fast timeout_ms jobs no_simplify no_incremental no_share
     let figs56 () =
       note
         (Trace.span "fig5_fig6" (fun () ->
-             E.fig5_fig6 ~options ?timeout_ms ~jobs
-               ~incremental:(not no_incremental) ~share:(not no_share)
+             E.fig5_fig6 ~options ?timeout_ms ~jobs ~share:(not no_share)
                ~on_progress hw (suite fast)))
     in
     let sim () =
@@ -155,14 +154,6 @@ let no_simplify_arg =
   in
   Arg.(value & flag & info [ "no-simplify" ] ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Disable solver reuse in the SMT rows: no shared per-case template, and \
-     every OMT round rebuilds its solver from scratch (the measured \
-     baseline; row values are identical either way)."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let no_share_arg =
   let doc =
     "Disable the learnt-clause exchange between portfolio seats (only \
@@ -194,7 +185,7 @@ let cmd =
     (Cmd.info "qca-experiments" ~doc)
     Term.(
       const run $ what_arg $ hw_arg $ fast_arg $ timeout_arg $ jobs_arg
-      $ no_simplify_arg $ no_incremental_arg $ no_share_arg $ csv_arg
+      $ no_simplify_arg $ no_share_arg $ csv_arg
       $ metrics_arg $ trace_out_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -26,7 +26,7 @@ let port_arg =
 let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
     cache_capacity template_capacity default_timeout_ms max_timeout_ms
     max_request_bytes retries certify revalidate_period no_simplify
-    no_incremental no_share fault_spec dump_dir slow_ms watchdog_ms =
+    no_share fault_spec dump_dir slow_ms watchdog_ms =
   match
     match fault_spec with
     | None -> Ok Fault.none
@@ -48,7 +48,6 @@ let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
         direct_fraction;
         cache_capacity;
         template_capacity;
-        incremental = not no_incremental;
         share = not no_share;
         default_timeout_ms;
         max_timeout_ms;
@@ -160,13 +159,6 @@ let daemon_cmd =
     let doc = "Disable CDCL inprocessing in every solve." in
     Arg.(value & flag & info [ "no-simplify" ] ~doc)
   in
-  let no_incremental =
-    let doc =
-      "Disable solver reuse: no encoded-template store, and every OMT round \
-       rebuilds its solver from scratch (the measured baseline)."
-    in
-    Arg.(value & flag & info [ "no-incremental" ] ~doc)
-  in
   let no_share =
     let doc =
       "Disable the learnt-clause exchange between portfolio seats (only \
@@ -211,7 +203,7 @@ let daemon_cmd =
       const daemon $ host_arg $ port_arg $ workers $ jobs $ queue $ shed_at
       $ direct_at $ cache $ templates $ default_timeout $ max_timeout
       $ max_bytes $ retries $ certify $ revalidate $ no_simplify
-      $ no_incremental $ no_share $ fault $ dump_dir $ slow_ms $ watchdog_ms)
+      $ no_share $ fault $ dump_dir $ slow_ms $ watchdog_ms)
 
 (* {1 client subcommands} *)
 

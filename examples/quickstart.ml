@@ -34,7 +34,8 @@ let () =
 
   (* The paper's contribution: the SMT model with the combined
      fidelity + idle-time objective (Eq. 10). *)
-  let adapted, info = Pipeline.adapt_with_info hw (Pipeline.Sat Model.Sat_p) circuit in
+  let outcome = Pipeline.adapt_governed hw (Pipeline.Sat Model.Sat_p) circuit in
+  let adapted = outcome.Pipeline.circuit and info = outcome.Pipeline.info in
   Format.printf "SAT P adaptation  : %a@." Metrics.pp (Metrics.summarize hw adapted);
   Format.printf "  %d substitutions considered, %d chosen, %d OMT rounds@."
     info.Pipeline.substitutions_considered info.Pipeline.substitutions_chosen

@@ -33,7 +33,7 @@ type t = {
   base_dur : int array;  (* D(b) *)
   base_fid : int array;  (* log F(b), fixed point *)
   d_lb : int;  (* admissible lower bound on the makespan *)
-  conflict_pairs : (int * int) list;  (* Eq. 1 pairs, by substitution id *)
+  conflicts : int list array;  (* Eq. 1 partners, by substitution id *)
   false_lit : Lit.t;  (* a literal asserted false, for infeasible prunes *)
   mutable consumed : bool;
   (* Incremental-reuse state. [session] keeps one set of portfolio
@@ -90,10 +90,13 @@ let build ?options hw part subs_list =
   let choice = Array.init n_subs (fun _ -> Lit.pos (Solver.new_var sat)) in
   Array.iter (fun s -> assert (s.Rules.id < n_subs)) subs;
   (* Eq. 1: overlapping substitutions exclude each other. *)
-  let conflict_pairs = Rules.conflicts subs_list in
+  let conflicts = Array.make n_subs [] in
   List.iter
-    (fun (i, j) -> Solver.add_clause sat [ Lit.negate choice.(i); Lit.negate choice.(j) ])
-    conflict_pairs;
+    (fun (i, j) ->
+      Solver.add_clause sat [ Lit.negate choice.(i); Lit.negate choice.(j) ];
+      conflicts.(i) <- j :: conflicts.(i);
+      conflicts.(j) <- i :: conflicts.(j))
+    (Rules.conflicts subs_list);
   let n_blocks = Array.length part.Block.blocks in
   let base_dur =
     Array.init n_blocks (fun b -> Rules.block_reference_duration hw part b)
@@ -122,7 +125,7 @@ let build ?options hw part subs_list =
     base_dur;
     base_fid;
     d_lb;
-    conflict_pairs;
+    conflicts;
     false_lit = Lit.pos false_var;
     consumed = false;
     session = None;
@@ -211,8 +214,57 @@ let default_round_budget = 120
 
 let m_reuse_runs = Obs.counter "omt.reuse.runs"
 
+(* Fault/budget consultation shared by the greedy sweeps and the OMT
+   rounds; the deadline/cancel checks make a 1 ms deadline observable
+   before any solving starts on deep circuits. *)
+let governed budget site exhaust_reason =
+  match Solver.budget_status budget with
+  | Some r -> Some r
+  | None -> (
+    match Fault.check budget.Solver.fault site with
+    | Some Fault.Exhaust -> Some exhaust_reason
+    | Some Fault.Cancel -> Some Solver.Cancelled
+    | Some Fault.Spurious_conflict | None -> None)
+
+(* Each sweep adds the lowest-id compatible substitution with the
+   strictly best exact objective, until none improves it. Governed
+   before every sweep; a stop keeps the (conflict-free) choice so far. *)
+let greedy ?(budget = Solver.no_budget) ~site t obj =
+  let terms = objective_terms t obj in
+  let n = Array.length t.subs in
+  let mask = Array.make n false in
+  let score () =
+    let v, _, _ = exact_objective t terms mask in
+    v
+  in
+  let compatible s = List.for_all (fun j -> not mask.(j)) t.conflicts.(s) in
+  let rec sweep current =
+    match governed budget site Solver.Deadline with
+    | Some r -> Some r
+    | None ->
+      let best_s = ref (-1) and best_v = ref current in
+      for s = 0 to n - 1 do
+        if (not mask.(s)) && compatible s then begin
+          mask.(s) <- true;
+          let v = score () in
+          mask.(s) <- false;
+          if v < !best_v then begin
+            best_v := v;
+            best_s := s
+          end
+        end
+      done;
+      if !best_s < 0 then None
+      else begin
+        mask.(!best_s) <- true;
+        sweep !best_v
+      end
+  in
+  let stop = sweep (score ()) in
+  (mask, stop)
+
 let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
-    ?(incremental = true) ?(share = true) ?(reuse = false) t obj =
+    ?(share = true) ?(reuse = false) t obj =
   if t.consumed then Error `Already_consumed
   else begin
   if reuse then Obs.incr m_reuse_runs else t.consumed <- true;
@@ -308,142 +360,38 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
             bound)
     end
   in
-  (* Fault/budget consultation shared by the warm start and the OMT
-     rounds; the deadline/cancel checks make a 1 ms deadline observable
-     before any solving starts on deep circuits. *)
-  let governed site exhaust_reason =
-    match Solver.budget_status budget with
-    | Some r -> Some r
-    | None -> (
-      match Fault.check budget.Solver.fault site with
-      | Some Fault.Exhaust -> Some exhaust_reason
-      | Some Fault.Cancel -> Some Solver.Cancelled
-      | Some Fault.Spurious_conflict | None -> None)
-  in
-  (* Greedy warm start: a good incumbent keeps the first pruning
-     encoding small and tight. Budget-governed per sweep: an
-     interruption here means no incumbent exists yet, which the
-     pipeline's degradation ladder turns into the greedy fallback. *)
-  let warm_start () =
-    let mask = Array.make n false in
-    let compatible s =
-      not
-        (List.exists
-           (fun (i, j) -> (i = s && mask.(j)) || (j = s && mask.(i)))
-           t.conflict_pairs)
-    in
-    let obj mask =
-      let v, _, _ = exact_objective t terms mask in
-      v
-    in
-    let current = ref (obj mask) in
-    let improved = ref true in
-    let stop = ref None in
-    while !improved && !stop = None do
-      match governed Fault.Warm_start Solver.Deadline with
-      | Some r -> stop := Some r
-      | None ->
-        improved := false;
-        let best_s = ref (-1) and best_v = ref !current in
-        for s = 0 to n - 1 do
-          if (not mask.(s)) && compatible s then begin
-            mask.(s) <- true;
-            let v = obj mask in
-            mask.(s) <- false;
-            if v < !best_v then begin
-              best_v := v;
-              best_s := s
-            end
-          end
-        done;
-        if !best_s >= 0 then begin
-          mask.(!best_s) <- true;
-          current := !best_v;
-          improved := true
-        end
-    done;
-    match !stop with
-    | Some r -> Error r
-    | None ->
-      let _, d, _ = exact_objective t terms mask in
-      Ok (!current, mask, d)
-  in
-  (* The round solver. Incremental (the default): one solver — and at
-     [jobs > 1] one persistent portfolio session — stays alive across
-     every round, the tightened bound entering as an assumption literal
-     over the memoized totalizer outputs, so learnt clauses, saved
-     phases, VSIDS activities and simplification results carry over.
-     Non-incremental (--no-incremental, the measured A/B baseline):
-     every round exports the problem, imports a fresh clone, encodes
-     the current bound from scratch on it and throws it all away after
-     the round — the rebuild cost the incremental path amortizes. *)
+  (* One solver — and at [jobs > 1] one persistent portfolio session —
+     stays alive across every round, the tightened bound entering as an
+     assumption literal over the memoized totalizer outputs, so learnt
+     clauses, saved phases, VSIDS activities and simplification results
+     carry over. *)
   let session =
-    if not incremental then None
-    else
-      Some
-        (match t.session with
-        | Some (j, sh, ss) when j = jobs && sh = share -> ss
-        | _ ->
-          let ss = Portfolio.create_session ~share ~jobs sat in
-          t.session <- Some (jobs, share, ss);
-          ss)
+    match t.session with
+    | Some (j, sh, ss) when j = jobs && sh = share -> ss
+    | _ ->
+      let ss = Portfolio.create_session ~share ~jobs sat in
+      t.session <- Some (jobs, share, ss);
+      ss
   in
-  let round_solve best =
-    match session with
-    | Some ss ->
-      let assumptions =
-        run_assumptions
-        @ (match best with None -> [] | Some (b, _, _) -> prune b)
-      in
-      let v = (Portfolio.session_solve ~assumptions ~budget ss).verdict in
-      (v, fun i -> Solver.lit_value sat t.choice.(i))
-    | None ->
-      let clone =
-        Trace.span "omt.scratch.rebuild" (fun () ->
-            Solver.import_problem ~options:(Solver.options sat)
-              (Solver.export_problem sat))
-      in
-      let assumptions =
-        run_assumptions
-        @
-        match best with
-        | None -> []
-        | Some (b, _, _) ->
-          let bd = b - 1 - terms.constant - (terms.d_weight * t.d_lb) in
-          if pb_terms = [] then if bd < 0 then [ t.false_lit ] else []
-          else begin
-            match
-              Trace.span "omt.scratch.encode" (fun () ->
-                  Totalizer.assume_at_most_approx ~resolution:256 clone
-                    pb_terms bd)
-            with
-            | None -> []
-            | Some a -> [ a ]
-            | exception Invalid_argument _ -> [ t.false_lit ]
-          end
-      in
-      let v =
-        (Portfolio.solve_portfolio ~assumptions ~budget ~share ~jobs clone)
-          .verdict
-      in
-      (v, fun i -> Solver.lit_value clone t.choice.(i))
+  let round_solve b =
+    (Portfolio.session_solve ~assumptions:(run_assumptions @ prune b) ~budget
+       session)
+      .verdict
   in
   let rounds = ref 0 and cuts = ref 0 in
   let proven = ref true in
   let stopped = ref None in
-  let rec improve best =
+  let rec improve ((b, _, _) as best) =
     incr rounds;
     Obs.incr m_omt_rounds;
-    Ring.record k_omt_round !rounds
-      (match best with None -> -1 | Some (b, _, _) -> b)
-      !cuts;
+    Ring.record k_omt_round !rounds b !cuts;
     if !rounds > round_budget then begin
       (* anytime behaviour: keep the incumbent, flag non-proven *)
       proven := false;
       best
     end
     else begin
-    match governed Fault.Omt_round Solver.Out_of_rounds with
+    match governed budget Fault.Omt_round Solver.Out_of_rounds with
     | Some r ->
       proven := false;
       stopped := Some r;
@@ -456,31 +404,28 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
           (* jobs > 1: every round — including the final UNSAT-proving
              one, where most conflicts are spent — races the session's
              diversified seats; jobs = 1 is exactly [Solver.solve]. *)
-          round_solve best)
+          round_solve b)
     with
-    | Solver.Unsat, _ -> best
-    | Solver.Unknown r, _ ->
+    | Solver.Unsat -> best
+    | Solver.Unknown r ->
       proven := false;
       stopped := Some r;
       best
-    | Solver.Sat, value_of ->
-      let mask = Array.init n value_of in
+    | Solver.Sat ->
+      let mask = Array.init n (fun i -> Solver.lit_value sat t.choice.(i)) in
       let v, d, path = exact_objective t terms mask in
-      let best' =
-        match best with
-        | Some (b, _, _) when b <= v -> best
-        | Some _ | None ->
+      let ((b', _, _) as best') =
+        if b <= v then best
+        else begin
           Obs.incr m_omt_incumbent_updates;
           Obs.set m_omt_incumbent (float_of_int v);
           Trace.counter "omt.incumbent" (float_of_int v);
           Ring.record k_omt_incumbent v !rounds d;
-          Some (v, mask, d)
+          (v, mask, d)
+        end
       in
-      (match best' with
-      | Some (b, _, _) ->
-        incr cuts;
-        add_path_cut b path
-      | None -> ());
+      incr cuts;
+      add_path_cut b' path;
       (* block this exact choice (under the run guard when reusable) *)
       Solver.add_clause sat
         (guard_clause
@@ -500,32 +445,36 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
     | None -> ()
     | Some a -> Solver.add_clause sat [ Lit.negate a ]
   in
-  match Trace.span "omt.warm_start" warm_start with
-  | Error r ->
+  (* Greedy warm start: a good incumbent keeps the first pruning
+     encoding small and tight. A stop here means no incumbent exists
+     yet, which the pipeline's degradation ladder turns into the greedy
+     fallback. *)
+  match
+    Trace.span "omt.warm_start" (fun () ->
+        greedy ~budget ~site:Fault.Warm_start t obj)
+  with
+  | _, Some r ->
     retire ();
     Error (`Budget_exhausted r)
-  | Ok warm ->
-    let warm_v, _, _ = warm in
+  | mask, None ->
+    let warm_v, d, _ = exact_objective t terms mask in
     Obs.set m_omt_incumbent (float_of_int warm_v);
     Trace.counter "omt.incumbent" (float_of_int warm_v);
-    (match improve (Some warm) with
-    | None -> assert false (* the warm start is an incumbent *)
-    | Some (v, mask, d) ->
-      retire ();
-      assert (
-        Lint.check_schedule t.part ~durations:(durations_for t mask)
-          ~makespan:d
-        = []);
-      Ok
-        {
-          chosen =
-            Array.to_list t.subs |> List.filter (fun s -> mask.(s.Rules.id));
-          objective_value = v;
-          makespan = d;
-          rounds = !rounds;
-          proven_optimal = !proven;
-          stopped = !stopped;
-        })
+    let v, mask, d = improve (warm_v, mask, d) in
+    retire ();
+    assert (
+      Lint.check_schedule t.part ~durations:(durations_for t mask) ~makespan:d
+      = []);
+    Ok
+      {
+        chosen =
+          Array.to_list t.subs |> List.filter (fun s -> mask.(s.Rules.id));
+        objective_value = v;
+        makespan = d;
+        rounds = !rounds;
+        proven_optimal = !proven;
+        stopped = !stopped;
+      }
   end
 
 let evaluate_choice t obj chosen =

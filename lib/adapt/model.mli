@@ -58,17 +58,17 @@ val optimize :
   ?round_budget:int ->
   ?budget:Solver.budget ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?share:bool ->
   ?reuse:bool ->
   t ->
   objective ->
   (solution, error) result
-(** Optimizes the objective: greedy warm start, then branch-and-bound
-    over the CDCL solver with admissible pseudo-Boolean pruning and
-    lazily generated critical-path lemmas. Solves to proven optimality
-    unless the round budget (default 120) runs out first, in which case
-    the incumbent is returned with [proven_optimal = false]. A resource
+(** Optimizes the objective: {!greedy} warm start, then
+    branch-and-bound over the CDCL solver with admissible
+    pseudo-Boolean pruning and lazily generated critical-path lemmas.
+    Solves to proven optimality unless the round budget (default 120)
+    runs out first, in which case the incumbent is returned with
+    [proven_optimal = false]. A resource
     [budget] governs the warm start, the OMT rounds and every CDCL call
     (fault sites {!Qca_util.Fault.Warm_start}, [Omt_round] and
     [Sat_step]); when it trips after an incumbent exists the incumbent
@@ -81,14 +81,11 @@ val optimize :
     answer whatever seat produces it. [jobs = 1] (default) is the
     bit-identical sequential path.
 
-    [incremental] (default [true]) keeps one solver — and at
-    [jobs > 1] one persistent seat session — alive across the OMT
-    rounds: the tightened bound enters as an assumption literal over
-    the memoized totalizer outputs, so learnt clauses, saved phases,
-    VSIDS activities and simplification results carry from round to
-    round. [incremental:false] is the measured scratch baseline: every
-    round re-exports the problem, re-encodes the bound on a fresh clone
-    and discards it. The objective value is identical either way.
+    One solver — and at [jobs > 1] one persistent seat session — stays
+    alive across the OMT rounds: the tightened bound enters as an
+    assumption literal over the memoized totalizer outputs, so learnt
+    clauses, saved phases, VSIDS activities and simplification results
+    carry from round to round.
 
     [share] (default [true]) arms the lock-free learnt-clause exchange
     between portfolio seats (no effect at [jobs = 1]).
@@ -100,9 +97,26 @@ val optimize :
     template, the memoized pruning totalizers and everything the solver
     learnt. The template-cache paths (batch, qca-serve) rely on this. *)
 
+val greedy :
+  ?budget:Solver.budget ->
+  site:Qca_util.Fault.site ->
+  t ->
+  objective ->
+  bool array * Solver.stop_reason option
+(** The one greedy over the model's substitutions, returned as a mask
+    indexed by substitution id. Each sweep adds the lowest-id
+    substitution compatible with the choice so far (Eq. 1) whose exact
+    objective is strictly best, until no substitution improves it.
+    [budget] and the fault plan at [site] are consulted before every
+    sweep; a stop returns the choice so far (always conflict-free) with
+    the reason. {!optimize} runs it as its warm start at
+    {!Qca_util.Fault.Warm_start}; the pipeline's [Greedy] method and
+    greedy fallback rung run it at [Greedy_step]. Pure: usable on a
+    consumed model. *)
+
 val evaluate_choice : t -> objective -> Rules.t list -> int
 (** Exact integer objective of an arbitrary conflict-free choice of
-    substitutions (used by tests and the greedy heuristic). *)
+    substitutions (used by tests). *)
 
 val sat_stats : t -> Solver.stats
 (** Counters of the CDCL solver underlying the model (conflicts,

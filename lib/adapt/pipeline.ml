@@ -122,107 +122,6 @@ let template_choose metric subs =
     [] subs
   |> List.rev
 
-(* The future-work heuristic: repeatedly add the substitution (from the
-   full space, KAK included) that improves the exact global objective
-   the most. Governed per refinement step; an interruption keeps the
-   substitutions chosen so far (still conflict-free, still valid). *)
-let greedy_choose_governed ?(budget = Solver.no_budget) model obj subs =
-  let governed () =
-    match Solver.budget_status budget with
-    | Some r -> Some r
-    | None -> (
-      match Fault.check budget.Solver.fault Fault.Greedy_step with
-      | Some Fault.Exhaust -> Some Solver.Deadline
-      | Some Fault.Cancel -> Some Solver.Cancelled
-      | Some Fault.Spurious_conflict | None -> None)
-  in
-  let stop = ref None in
-  let rec refine chosen current =
-    match governed () with
-    | Some r ->
-      stop := Some r;
-      chosen
-    | None -> (
-      let candidates =
-        List.filter (fun s -> compatible chosen s) subs
-        |> List.map (fun s -> (s, Model.evaluate_choice model obj (s :: chosen)))
-        |> List.filter (fun (_, v) -> v < current)
-      in
-      match candidates with
-      | [] -> chosen
-      | _ ->
-        let s, v =
-          List.fold_left
-            (fun (bs, bv) (s, v) -> if v < bv then (s, v) else (bs, bv))
-            (List.hd candidates)
-            (List.tl candidates)
-        in
-        refine (s :: chosen) v)
-  in
-  let chosen = refine [] (Model.evaluate_choice model obj []) in
-  (chosen, !stop)
-
-let greedy_choose model obj subs =
-  fst (greedy_choose_governed model obj subs)
-
-let adapt_with_info ?options ?(jobs = 1) ?(incremental = true) ?(share = true)
-    hw method_ circuit =
-  Obs.incr m_adaptations;
-  let part = Trace.span "partition" (fun () -> Block.partition circuit) in
-  match method_ with
-  | Direct -> (Trace.span "apply" (fun () -> Basis.direct circuit), no_info)
-  | Kak_only_cz ->
-    (Trace.span "apply" (fun () -> kak_only Synth.Use_cz part), no_info)
-  | Kak_only_cz_db ->
-    (Trace.span "apply" (fun () -> kak_only Synth.Use_cz_db part), no_info)
-  | Template_f | Template_r ->
-    let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
-    let metric (s : Rules.t) =
-      match method_ with
-      | Template_f -> s.Rules.delta_log_fid > 0
-      | Template_r -> s.Rules.delta_duration < 0
-      | Direct | Kak_only_cz | Kak_only_cz_db | Sat _ | Greedy _ -> assert false
-    in
-    let chosen = Trace.span "solve" (fun () -> template_choose metric subs) in
-    ( Trace.span "apply" (fun () -> apply_substitutions part chosen),
-      {
-        no_info with
-        substitutions_considered = List.length subs;
-        substitutions_chosen = List.length chosen;
-      } )
-  | Sat obj ->
-    let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
-    let model = Trace.span "encode" (fun () -> Model.build ?options hw part subs) in
-    let sol =
-      match
-        Trace.span "solve" (fun () ->
-            Model.optimize ~jobs ~incremental ~share model obj)
-      with
-      | Ok sol -> sol
-      | Error (`Already_consumed | `Budget_exhausted _) ->
-        (* fresh model, unlimited budget: neither error can occur *)
-        assert false
-    in
-    ( Trace.span "apply" (fun () -> apply_substitutions part sol.Model.chosen),
-      {
-        substitutions_considered = List.length subs;
-        substitutions_chosen = List.length sol.Model.chosen;
-        omt_rounds = sol.Model.rounds;
-      } )
-  | Greedy obj ->
-    let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
-    let model = Trace.span "encode" (fun () -> Model.build ?options hw part subs) in
-    let chosen = Trace.span "solve" (fun () -> greedy_choose model obj subs) in
-    ( Trace.span "apply" (fun () -> apply_substitutions part chosen),
-      {
-        no_info with
-        substitutions_considered = List.length subs;
-        substitutions_chosen = List.length chosen;
-      } )
-
-let adapt ?options ?jobs ?incremental ?share hw method_ circuit =
-  fst (adapt_with_info ?options ?jobs ?incremental ?share hw method_ circuit)
-
 (* {1 Encoded templates} *)
 
 (* The expensive front half of an SMT adaptation — partition, template
@@ -282,9 +181,14 @@ let degraded o = o.tier <> Full || o.reason <> None
    Every rung always terminates (the lower rungs are polynomial), so a
    governed request never hangs and never raises: the worst case is the
    direct basis translation, which is always a valid adapted circuit. *)
-let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
-    ?(share = true) ?template hw method_ circuit =
+let adapt_governed ?options ?budget ?(jobs = 1) ?(share = true) ?template hw
+    method_ circuit =
   let budget = match budget with Some b -> b | None -> Solver.budget () in
+  let partition () =
+    Trace.span "partition" (fun () -> Block.partition circuit)
+  in
+  let find part = Trace.span "match" (fun () -> Rules.find_all hw part) in
+  let apply f = Trace.span "apply" f in
   (* With a prebuilt template the partition/match/encode phases are
      skipped and the optimization runs non-consuming ([~reuse]), leaving
      the template valid for the next request sharing its key. *)
@@ -294,14 +198,15 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
       Obs.incr m_template_reuses;
       (tm.t_part, tm.t_subs, tm.t_model, true)
     | None ->
-      let part = Trace.span "partition" (fun () -> Block.partition circuit) in
-      let subs = Trace.span "match" (fun () -> Rules.find_all hw part) in
+      let part = partition () in
+      let subs = find part in
       let model =
         Trace.span "encode" (fun () -> Model.build ?options hw part subs)
       in
       (part, subs, model, false)
   in
-  let finish ?claimed_makespan ~tier ~reason ~info circuit =
+  let finish ?claimed_makespan ?(tier = Full) ?reason ?(info = no_info) circuit
+      =
     if tier <> Full || reason <> None then begin
       Obs.incr m_degraded;
       let tier_ix =
@@ -339,38 +244,71 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
       claimed_makespan;
     }
   in
-  let direct ~reason =
-    finish ~tier:Direct_fallback ~reason ~info:no_info
-      (Trace.span "apply" (fun () -> Basis.direct circuit))
+  let direct reason =
+    finish ~tier:Direct_fallback ~reason
+      (apply (fun () -> Basis.direct circuit))
+  in
+  let chosen_info subs chosen rounds =
+    {
+      substitutions_considered = List.length subs;
+      substitutions_chosen = List.length chosen;
+      omt_rounds = rounds;
+    }
+  in
+  (* The Greedy method and the ladder's greedy rung, run under [span]:
+     a stop keeps the (conflict-free) partial choice, an empty one
+     degrades to direct. [reason], when given, is why the ladder got
+     here. *)
+  let greedy ~span ~tier ?reason part subs model obj =
+    let mask, stop =
+      Trace.span span (fun () ->
+          Model.greedy ~budget ~site:Fault.Greedy_step model obj)
+    in
+    match (List.filter (fun s -> mask.(s.Rules.id)) subs, stop) with
+    | [], Some r -> direct r
+    | chosen, stop ->
+      finish ~tier
+        ?reason:(if reason = None then stop else reason)
+        ~info:(chosen_info subs chosen 0)
+        (apply (fun () -> apply_substitutions part chosen))
+  in
+  let kak ent =
+    let part = partition () in
+    finish (apply (fun () -> kak_only ent part))
   in
   Trace.span "adapt" ~args:[ ("method", method_name method_) ] @@ fun () ->
+  Obs.incr m_adaptations;
   match method_ with
+  | Direct -> finish (apply (fun () -> Basis.direct circuit))
+  | Kak_only_cz -> kak Synth.Use_cz
+  | Kak_only_cz_db -> kak Synth.Use_cz_db
+  | Template_f | Template_r ->
+    let part = partition () in
+    let subs = find part in
+    let metric (s : Rules.t) =
+      if method_ = Template_f then s.Rules.delta_log_fid > 0
+      else s.Rules.delta_duration < 0
+    in
+    let chosen = Trace.span "solve" (fun () -> template_choose metric subs) in
+    finish ~info:(chosen_info subs chosen 0)
+      (apply (fun () -> apply_substitutions part chosen))
   | Sat obj -> (
-    Obs.incr m_adaptations;
     match Solver.budget_status budget with
-    | Some r -> direct ~reason:(Some r)
+    | Some r -> direct r
     | None -> (
       let part, subs, model, reuse = front () in
       match
         Trace.span "solve" (fun () ->
-            Model.optimize ~budget ~jobs ~incremental ~share ~reuse model obj)
+            Model.optimize ~budget ~jobs ~share ~reuse model obj)
       with
       | Ok sol ->
-        let info =
-          {
-            substitutions_considered = List.length subs;
-            substitutions_chosen = List.length sol.Model.chosen;
-            omt_rounds = sol.Model.rounds;
-          }
+        let tier =
+          match sol.Model.stopped with None -> Full | Some _ -> Incumbent
         in
-        let tier, reason =
-          match sol.Model.stopped with
-          | None -> (Full, None)
-          | Some r -> (Incumbent, Some r)
-        in
-        finish ~claimed_makespan:sol.Model.makespan ~tier ~reason ~info
-          (Trace.span "apply" (fun () ->
-               apply_substitutions part sol.Model.chosen))
+        finish ~claimed_makespan:sol.Model.makespan ~tier
+          ?reason:sol.Model.stopped
+          ~info:(chosen_info subs sol.Model.chosen sol.Model.rounds)
+          (apply (fun () -> apply_substitutions part sol.Model.chosen))
       | Error `Already_consumed ->
         (* fresh models can't be consumed; template models only ever run
            the non-consuming reuse path *)
@@ -380,51 +318,20 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(incremental = true)
            the budget still has headroom (a fault-injected stop leaves
            it intact, a real deadline does not) *)
         match Solver.budget_status budget with
-        | Some r2 -> direct ~reason:(Some r2)
-        | None -> (
-          (* evaluate_choice is pure — the consumed model still serves *)
-          match
-            Trace.span "rung.greedy" (fun () ->
-                greedy_choose_governed ~budget model obj subs)
-          with
-          | [], Some r2 -> direct ~reason:(Some r2)
-          | chosen, _ ->
-            let info =
-              {
-                no_info with
-                substitutions_considered = List.length subs;
-                substitutions_chosen = List.length chosen;
-              }
-            in
-            finish ~tier:Greedy_fallback ~reason:(Some r) ~info
-              (Trace.span "apply" (fun () ->
-                   apply_substitutions part chosen))))))
+        | Some r2 -> direct r2
+        | None ->
+          greedy ~span:"rung.greedy" ~tier:Greedy_fallback ~reason:r part subs
+            model obj)))
   | Greedy obj -> (
-    Obs.incr m_adaptations;
     match Solver.budget_status budget with
-    | Some r -> direct ~reason:(Some r)
-    | None -> (
+    | Some r -> direct r
+    | None ->
       let part, subs, model, _reuse = front () in
-      match
-        Trace.span "solve" (fun () ->
-            greedy_choose_governed ~budget model obj subs)
-      with
-      | [], Some r -> direct ~reason:(Some r)
-      | chosen, stop ->
-        let info =
-          {
-            no_info with
-            substitutions_considered = List.length subs;
-            substitutions_chosen = List.length chosen;
-          }
-        in
-        finish ~tier:Full ~reason:stop ~info
-          (Trace.span "apply" (fun () -> apply_substitutions part chosen))))
-  | Direct | Kak_only_cz | Kak_only_cz_db | Template_f | Template_r ->
-    (* polynomial methods: always complete, no ladder needed *)
-    let c, info = adapt_with_info ?options ~jobs hw method_ circuit in
-    finish ~tier:Full ~reason:None ~info c
+      greedy ~span:"solve" ~tier:Full part subs model obj)
 
-let adapt_template ?budget ?jobs ?incremental ?share tm method_ =
-  adapt_governed ?budget ?jobs ?incremental ?share ~template:tm tm.t_hw method_
+let adapt ?options ?jobs ?share hw method_ circuit =
+  (adapt_governed ?options ?jobs ?share hw method_ circuit).circuit
+
+let adapt_template ?budget ?jobs ?share tm method_ =
+  adapt_governed ?budget ?jobs ?share ~template:tm tm.t_hw method_
     (template_circuit tm)

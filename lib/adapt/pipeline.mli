@@ -41,31 +41,19 @@ type info = {
 val adapt :
   ?options:Solver.options ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?share:bool ->
   Hardware.t ->
   method_ ->
   Circuit.t ->
   Circuit.t
-(** Adapts the circuit; the result contains only native gates and is
+(** Adapts the circuit: [(adapt_governed ...).circuit] under an
+    unlimited budget. The result contains only native gates and is
     unitary-equivalent to the input (up to global phase). [jobs > 1]
     enables portfolio solving on the SAT method's OMT rounds (see
-    {!Qca_adapt.Model.optimize}); default 1 = sequential.
-    [incremental] (default [true]) keeps one solver alive across the
-    OMT rounds; [false] is the scratch-rebuild baseline. [share]
+    {!Qca_adapt.Model.optimize}); default 1 = sequential. [share]
     (default [true]) arms learnt-clause exchange between portfolio
     seats at [jobs > 1]. The adapted circuit's objective value is
     identical under every combination. *)
-
-val adapt_with_info :
-  ?options:Solver.options ->
-  ?jobs:int ->
-  ?incremental:bool ->
-  ?share:bool ->
-  Hardware.t ->
-  method_ ->
-  Circuit.t ->
-  Circuit.t * info
 
 val apply_substitutions :
   Qca_circuit.Block.t -> Rules.t list -> Circuit.t
@@ -83,7 +71,8 @@ val apply_substitutions :
     - if the budget stops the search after an incumbent exists, the
       incumbent is served ({!Incumbent});
     - if it stops before any incumbent exists, the greedy heuristic
-      over the same substitution space runs with the remaining budget
+      over the same substitution space ({!Model.greedy}, the same greedy
+      the warm start ran) runs with the remaining budget
       ({!Greedy_fallback});
     - if even that is impossible, direct basis translation — always
       valid, always fast — serves the request ({!Direct_fallback}).
@@ -144,7 +133,6 @@ val adapt_governed :
   ?options:Solver.options ->
   ?budget:Solver.budget ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?share:bool ->
   ?template:template ->
   Hardware.t ->
@@ -152,11 +140,11 @@ val adapt_governed :
   Circuit.t ->
   outcome
 (** Adapt under a resource budget (default: a fresh unlimited budget,
-    so [spent] is still reported). With an unlimited budget the served
-    circuit is identical to {!adapt}'s. Total: never raises, never
-    hangs — see the ladder above. [jobs] as in {!adapt}: a portfolio of
-    diversified CDCL seats per OMT round, cancelled cooperatively
-    through this same budget. [incremental]/[share] as in {!adapt}.
+    so [spent] is still reported); the one adaptation entry point, for
+    every method. Total: never raises, never hangs — see the ladder
+    above. [jobs] as in {!adapt}: a portfolio of diversified CDCL seats
+    per OMT round, cancelled cooperatively through this same budget.
+    [share] as in {!adapt}.
     With [template] (which must have been {!prepare}d for the same
     hardware and circuit) the partition/match/encode phases are skipped
     and the optimization runs non-consuming, leaving the template ready
@@ -165,7 +153,6 @@ val adapt_governed :
 val adapt_template :
   ?budget:Solver.budget ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?share:bool ->
   template ->
   method_ ->

@@ -43,7 +43,6 @@ val evaluate_case :
   ?options:Qca_sat.Solver.options ->
   ?timeout_ms:float ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?share:bool ->
   ?on_progress:(progress -> unit) ->
   Hardware.t ->
@@ -55,18 +54,15 @@ val evaluate_case :
     inprocessing). [timeout_ms] bounds each adaptation independently
     (degraded rows are flagged). [jobs > 1] adapts the methods
     concurrently on a {!Qca_par.Pool} of OCaml domains; rows keep
-    their order. [incremental] (default [true]) lets the case's SMT
-    methods share one encoded {!Pipeline.prepare} template (sequential
-    path) and keeps each optimization's solver alive across its OMT
-    rounds; [incremental:false] is the scratch baseline. [share] arms
-    seat-to-seat clause exchange for portfolio rounds. *)
+    their order. On the sequential path the case's SMT methods share
+    one encoded {!Pipeline.prepare} template. [share] arms seat-to-seat
+    clause exchange for portfolio rounds. *)
 
 val fig5_fig6 :
   ?methods:Pipeline.method_ list ->
   ?options:Qca_sat.Solver.options ->
   ?timeout_ms:float ->
   ?jobs:int ->
-  ?incremental:bool ->
   ?share:bool ->
   ?on_progress:(progress -> unit) ->
   Hardware.t ->

@@ -45,7 +45,6 @@ type config = {
   direct_fraction : float;
   cache_capacity : int;
   template_capacity : int;
-  incremental : bool;
   share : bool;
   default_timeout_ms : float;
   max_timeout_ms : float;
@@ -76,7 +75,6 @@ let default_config =
     direct_fraction = 0.875;
     cache_capacity = 256;
     template_capacity = 32;
-    incremental = true;
     share = true;
     default_timeout_ms = 2_000.0;
     max_timeout_ms = 30_000.0;
@@ -187,7 +185,7 @@ let solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at
           Solver.budget ~timeout_ms:remaining_ms
             ?max_conflicts:r.Protocol.max_conflicts ()
         in
-        if cfg.incremental && is_smt then
+        if is_smt then
           (* SMT methods solve on the store's encoded template for this
              hardware × circuit key: repeat traffic (any objective)
              skips partition/match/encode and inherits learnt clauses *)
@@ -203,8 +201,8 @@ let solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at
                 ~share:cfg.share tmpl eff_method)
         else
           Pipeline.adapt_governed ~options:cfg.options ~budget
-            ~incremental:cfg.incremental ~share:cfg.share
-            ~jobs:cfg.solver_jobs r.Protocol.hardware eff_method circuit
+            ~share:cfg.share ~jobs:cfg.solver_jobs r.Protocol.hardware
+            eff_method circuit
     in
     let transient =
       match outcome.Pipeline.reason with

@@ -33,12 +33,9 @@ type config = {
   shed_fraction : float;  (** queue fill ratio demoting SAT → greedy *)
   direct_fraction : float;  (** queue fill ratio demoting to direct *)
   cache_capacity : int;  (** result-cache entries *)
-  template_capacity : int;  (** encoded-template store entries *)
-  incremental : bool;
-      (** reuse encoded templates across requests sharing a
-          hardware × circuit key, and keep each optimization's solver
-          alive across its OMT rounds (default true; [false] is the
-          scratch baseline behind [--no-incremental]) *)
+  template_capacity : int;
+      (** encoded-template store entries; every SAT and greedy request
+          solves on the store's template for its hardware × circuit key *)
   share : bool;
       (** learnt-clause exchange between portfolio seats when
           [solver_jobs > 1] (default true; [--no-share]) *)

@@ -15,8 +15,13 @@
 type site =
   | Sat_step  (** once per CDCL conflict/decision iteration *)
   | Omt_round  (** before each OMT improvement round *)
-  | Warm_start  (** before each greedy warm-start sweep in [Model.optimize] *)
-  | Greedy_step  (** before each refinement step of the greedy fallback *)
+  | Warm_start
+      (** before each sweep of [Model.greedy] run as [Model.optimize]'s
+          warm start *)
+  | Greedy_step
+      (** before each sweep of [Model.greedy] run as the [Greedy] method
+          or the ladder's greedy fallback — the same greedy as
+          [Warm_start], consulted at a different site *)
   | Serve_accept
       (** in the daemon, before each accepted connection is admitted —
           [Spurious_conflict] simulates a transient accept/socket error,

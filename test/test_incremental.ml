@@ -1,9 +1,11 @@
-(* PR-10 differential suite: incremental OMT reuse and the lock-free
-   learnt-clause exchange must change wall-clock only. Identical
-   objective values with reuse/sharing on versus a scratch rebuild,
-   across a small corpus and every objective; DRUP proofs that replay
-   with imported clauses attached; and the Share ring's slot discipline
-   (admission, roundtrip, lossy overrun) checked directly. *)
+(* Differential suite: incremental OMT reuse and the lock-free
+   learnt-clause exchange must change wall-clock only. Objective values
+   with reuse/sharing on match the brute-force optimum of
+   {!Test_oracle}, across a small corpus and every objective; the one
+   greedy matches a reference greedy written from its spec; DRUP proofs
+   replay with imported clauses attached; and the Share ring's slot
+   discipline (admission, roundtrip, lossy overrun) is checked
+   directly. *)
 
 open Qca_sat
 module Share = Qca_par.Share
@@ -17,6 +19,8 @@ module Pipeline = Qca_adapt.Pipeline
 module Lint = Qca_adapt.Lint
 module Workloads = Qca_workloads.Workloads
 module Rng = Qca_util.Rng
+module Fault = Qca_util.Fault
+module Oracle = Test_oracle
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -181,7 +185,7 @@ let test_portfolio_share_certified () =
     checkb "winner's proof replays with sharing armed" true
       (outcome.Drup.verdict = Drup.Certified)
 
-(* {1 Differential: identical objectives with reuse on and off} *)
+(* {1 Differential: the optimum with reuse on, against brute force} *)
 
 let corpus =
   [
@@ -190,50 +194,48 @@ let corpus =
     Workloads.quantum_volume ~seed:77 ~num_qubits:3 ~layers:2;
   ]
 
-let objectives = [ Model.Sat_f; Model.Sat_r; Model.Sat_p ]
+let objectives = Oracle.objectives
 
-let solve_once ~incremental ?(jobs = 1) ?(share = true) part subs obj =
+let solve_once ?(jobs = 1) ?(share = true) part subs obj =
   let model = Model.build hw part subs in
-  Result.get_ok (Model.optimize ~incremental ~jobs ~share model obj)
+  Result.get_ok (Model.optimize ~jobs ~share model obj)
+
+(* The scorer and each objective's brute-force optimum for a circuit. *)
+let oracle c =
+  let part = Block.partition c in
+  let subs = Rules.find_all hw part in
+  let sc = Oracle.scorer hw part subs in
+  (part, subs, sc, List.combine objectives (Oracle.optima sc objectives))
+
+let check_optimal sc obj ~optimum sol =
+  checkb "proven optimal" true sol.Model.proven_optimal;
+  Oracle.check_solution sc obj ~optimum sol
 
 let test_model_incremental_differential () =
   List.iter
     (fun c ->
-      let part = Block.partition c in
-      let subs = Rules.find_all hw part in
+      let part, subs, sc, optima = oracle c in
       List.iter
-        (fun obj ->
-          let inc = solve_once ~incremental:true part subs obj in
-          let scr = solve_once ~incremental:false part subs obj in
-          checki "incremental matches scratch" scr.Model.objective_value
-            inc.Model.objective_value;
-          checkb "both proven optimal" true
-            (inc.Model.proven_optimal && scr.Model.proven_optimal))
-        objectives)
+        (fun (obj, optimum) ->
+          check_optimal sc obj ~optimum (solve_once part subs obj))
+        optima)
     corpus
 
 let test_model_parallel_share_differential () =
-  (* jobs > 1 with the exchange armed must close on the same optimum
-     as the sequential scratch baseline, with and without sharing *)
-  let c = List.nth corpus 2 in
-  let part = Block.partition c in
-  let subs = Rules.find_all hw part in
+  (* jobs > 1 with the exchange armed must close on the brute-force
+     optimum, with and without sharing *)
+  let part, subs, sc, optima = oracle (List.nth corpus 2) in
   List.iter
-    (fun obj ->
-      let base = solve_once ~incremental:false part subs obj in
+    (fun (obj, optimum) ->
       List.iter
         (fun share ->
-          let par = solve_once ~incremental:true ~jobs:2 ~share part subs obj in
-          checki "parallel matches sequential scratch"
-            base.Model.objective_value par.Model.objective_value;
-          checkb "proven optimal" true par.Model.proven_optimal)
+          check_optimal sc obj ~optimum
+            (solve_once ~jobs:2 ~share part subs obj))
         [ true; false ])
-    objectives
+    optima
 
 let test_model_reuse_identity () =
-  let c = List.hd corpus in
-  let part = Block.partition c in
-  let subs = Rules.find_all hw part in
+  let part, subs, sc, optima = oracle (List.hd corpus) in
   let model = Model.build hw part subs in
   (* repeated non-consuming runs of the same objective are identical *)
   let a = Result.get_ok (Model.optimize ~reuse:true model Model.Sat_p) in
@@ -241,16 +243,48 @@ let test_model_reuse_identity () =
   checki "repeated reuse is stable" a.Model.objective_value
     b.Model.objective_value;
   (* and the warmed template still closes every other objective on the
-     scratch optimum *)
+     brute-force optimum *)
   List.iter
-    (fun obj ->
-      let warm = Result.get_ok (Model.optimize ~reuse:true model obj) in
-      let scratch = solve_once ~incremental:false part subs obj in
-      checki "warmed template matches scratch" scratch.Model.objective_value
-        warm.Model.objective_value;
-      checkb "proven optimal on the warmed template" true
-        warm.Model.proven_optimal)
-    objectives
+    (fun (obj, optimum) ->
+      check_optimal sc obj ~optimum
+        (Result.get_ok (Model.optimize ~reuse:true model obj)))
+    optima
+
+let test_greedy_differential () =
+  List.iter
+    (fun c ->
+      let part, subs, sc, _ = oracle c in
+      let model = Model.build hw part subs in
+      List.iter
+        (fun obj ->
+          let added = Oracle.reference_greedy sc obj in
+          let ids mask =
+            List.init (Array.length mask) Fun.id |> List.filter (Array.get mask)
+          in
+          let greedy fault =
+            Model.greedy ~budget:(Solver.budget ~fault ())
+              ~site:Fault.Greedy_step model obj
+          in
+          let mask, stop = greedy Fault.none in
+          checkb "ran to completion" true (stop = None);
+          Alcotest.(check (list int))
+            "same chosen set" (List.sort compare added) (ids mask);
+          (* a stop before sweep k+1 keeps exactly the first k additions,
+             which pins the order they were made in *)
+          List.iteri
+            (fun k _ ->
+              let mask, stop =
+                greedy
+                  (Fault.inject [ (Fault.Greedy_step, k + 1, Fault.Exhaust) ])
+              in
+              checkb "stopped" true (stop = Some Solver.Deadline);
+              Alcotest.(check (list int))
+                "first additions"
+                (List.sort compare (List.filteri (fun j _ -> j < k) added))
+                (ids mask))
+            added)
+        objectives)
+    (Oracle.example "paper_example.txt" :: corpus)
 
 let test_pipeline_template_certified () =
   List.iter
@@ -308,7 +342,7 @@ let test_session_knapsack_differential () =
         brute := min !brute !sum
       end
     done;
-    let run ~incremental ~jobs =
+    let run ~session ~jobs =
       let s = Solver.create () in
       let vars = Array.init n (fun _ -> Solver.new_var s) in
       List.iter
@@ -316,7 +350,7 @@ let test_session_knapsack_differential () =
           Solver.add_clause s [ Lit.neg_of_var vars.(i); Lit.neg_of_var vars.(j) ])
         exclusions;
       let solve =
-        if incremental then begin
+        if session then begin
           let ss = Portfolio.create_session ~jobs s in
           fun () -> (Portfolio.session_solve ss).Portfolio.verdict
         end
@@ -343,8 +377,8 @@ let test_session_knapsack_differential () =
     in
     List.iter
       (fun jobs ->
-        checki "incremental session" !brute (run ~incremental:true ~jobs);
-        checki "scratch portfolio" !brute (run ~incremental:false ~jobs))
+        checki "incremental session" !brute (run ~session:true ~jobs);
+        checki "scratch portfolio" !brute (run ~session:false ~jobs))
       [ 1; 2 ];
     checki "all domains joined" 0 (Portfolio.live_domains ())
   done
@@ -364,6 +398,7 @@ let suite =
     ("model parallel share differential", `Quick,
      test_model_parallel_share_differential);
     ("model reuse identity", `Quick, test_model_reuse_identity);
+    ("greedy differential", `Quick, test_greedy_differential);
     ("pipeline template certified", `Quick, test_pipeline_template_certified);
     ("session knapsack differential", `Quick,
      test_session_knapsack_differential);

@@ -29,6 +29,7 @@ let () =
       ("governance", Test_governance.suite);
       ("par", Test_par.suite);
       ("incremental", Test_incremental.suite);
+      ("oracle", Test_oracle.suite);
       ("lockcheck", Test_lockcheck.suite);
       ("analysis", Test_analysis.suite);
       ("serve", Test_serve.suite);
