@@ -432,45 +432,6 @@ let par_rows () =
         } );
     ] )
 
-(* {1 Learnt-clause sharing}
-
-   The PHP(6,5) portfolio race with the lock-free learnt-clause
-   exchange on versus off. Reps are interleaved A/B/A/B so machine
-   drift charges both sides equally; best-of-reps is reported. On a
-   single-core host the share rows simply record what the host
-   delivered (the seats time-slice, so the exchange cannot win). *)
-
-let share_rows () =
-  let race ~share =
-    let num_vars, clauses = php_problem () in
-    let s = Sat.create () in
-    for _ = 1 to num_vars do
-      ignore (Sat.new_var s)
-    done;
-    List.iter (Sat.add_clause s) clauses;
-    let t0 = Clock.now () in
-    let o = Portfolio.solve_portfolio ~share ~jobs s in
-    let ms = Clock.ms_between t0 (Clock.now ()) in
-    assert (o.Portfolio.verdict = Sat.Unsat);
-    ms
-  in
-  let reps = if fast then 1 else 3 in
-  let best_on = ref infinity and best_off = ref infinity in
-  for _ = 1 to reps do
-    best_on := Float.min !best_on (race ~share:true);
-    best_off := Float.min !best_off (race ~share:false)
-  done;
-  let cores = Domain.recommended_domain_count () in
-  ( !best_on, !best_off,
-    [
-      ( "qca/par/share-on",
-        { (plain_row (!best_on *. 1e6)) with
-          row_jobs = Some jobs; cores = Some cores } );
-      ( "qca/par/share-off",
-        { (plain_row (!best_off *. 1e6)) with
-          row_jobs = Some jobs; cores = Some cores } );
-    ] )
-
 (* {1 Flight-recorder overhead}
 
    A/B of the ablation PHP(6,5) solve with the ring recorder disabled
@@ -568,13 +529,6 @@ let run_benchmarks () =
     (if par_ms > 0.0 then seq_ms /. par_ms else Float.nan);
   Format.fprintf fmt "portfolio PHP(6,5): winner seat %d of %d raced@." winner
     jobs;
-  let sh_on, sh_off, share = share_rows () in
-  Format.fprintf fmt "== Learnt-clause sharing (portfolio, A/B) ==@.";
-  Format.fprintf fmt
-    "portfolio PHP(6,5) at jobs=%d: %.2f ms sharing, %.2f ms isolated \
-     (speedup %.2fx)@."
-    jobs sh_on sh_off
-    (if sh_on > 0.0 then sh_off /. sh_on else Float.nan);
   let ring_off, ring_on, ring_events, ring = ring_rows () in
   Format.fprintf fmt "== Flight recorder overhead (PHP 6,5) ==@.";
   Format.fprintf fmt
@@ -605,7 +559,7 @@ let run_benchmarks () =
           } )
     in
     let all =
-      List.map micro rows @ governed @ proof @ par @ share @ ring
+      List.map micro rows @ governed @ proof @ par @ ring
     in
     let int_opt = function None -> "null" | Some n -> string_of_int n in
     let oc = open_out file in

@@ -11,62 +11,17 @@ open Cmdliner
 module Circuit = Qca_circuit.Circuit
 module Parse = Qca_circuit.Parse
 module Solver = Qca_sat.Solver
-module Obs = Qca_obs.Metrics
 module Trace = Qca_obs.Trace
 open Qca_adapt
 
-(* Shared by all four CLIs: --jobs defaults to $QCA_JOBS, else 1. *)
-let default_jobs =
-  match Option.bind (Sys.getenv_opt "QCA_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> 1
-
-(* Shared by all four CLIs: --trace-out implies --metrics (the Chrome
-   export embeds the metrics snapshot). *)
-let obs_stop ~metrics ~trace_out =
-  (match trace_out with Some file -> Trace.write_chrome file | None -> ());
-  if metrics then Format.eprintf "%a@." Obs.pp_summary ()
-
-(* An interrupted run must not lose its trace: flush the observability
-   output on SIGINT/SIGTERM as well as on the normal exit path. *)
-let obs_start ~metrics ~trace_out =
-  if metrics || trace_out <> None then begin
-    Obs.set_enabled true;
-    Qca_obs.Sigexit.install ~flush:(fun () -> obs_stop ~metrics ~trace_out)
-  end;
-  if trace_out <> None then Trace.set_enabled true
-
-let method_of_string = function
-  | "direct" -> Ok Pipeline.Direct
-  | "kak-cz" -> Ok Pipeline.Kak_only_cz
-  | "kak-czdb" -> Ok Pipeline.Kak_only_cz_db
-  | "tmp-f" -> Ok Pipeline.Template_f
-  | "tmp-r" -> Ok Pipeline.Template_r
-  | "sat-f" -> Ok (Pipeline.Sat Model.Sat_f)
-  | "sat-r" -> Ok (Pipeline.Sat Model.Sat_r)
-  | "sat-p" -> Ok (Pipeline.Sat Model.Sat_p)
-  | "greedy-p" -> Ok (Pipeline.Greedy Model.Sat_p)
-  | other -> Error (Printf.sprintf "unknown method %S" other)
-
-let hw_of_string = function
-  | "d0" -> Ok Hardware.d0
-  | "d1" -> Ok Hardware.d1
-  | other -> Error (Printf.sprintf "unknown hardware variant %S" other)
-
-let read_input = function
-  | "-" -> Ok (In_channel.input_all stdin)
-  | path -> (
-    try Ok (In_channel.with_open_text path In_channel.input_all)
-    with Sys_error msg -> Error msg)
-
 let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
-    no_simplify no_share certify metrics trace_out =
-  obs_start ~metrics ~trace_out;
+    no_simplify certify metrics trace_out =
+  Cli.obs_start ~metrics ~trace_out;
   let ( let* ) = Result.bind in
   let result =
-    let* method_ = method_of_string method_name in
-    let* hw = hw_of_string hw_name in
-    let* text = read_input input in
+    let* method_ = Pipeline.method_of_string method_name in
+    let* hw = Hardware.of_string hw_name in
+    let* text = Cli.read_input input in
     let* circuit =
       match Trace.span "parse" (fun () -> Parse.parse text) with
       | Ok c -> Ok c
@@ -81,8 +36,7 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
       { Solver.default_options with use_simplify = not no_simplify }
     in
     let o =
-      Pipeline.adapt_governed ~options ~budget ~jobs ~share:(not no_share) hw
-        method_ circuit
+      Pipeline.adapt_governed ~options ~budget ~jobs hw method_ circuit
     in
     let baseline =
       Metrics.summarize hw (Pipeline.adapt hw Pipeline.Direct circuit)
@@ -125,7 +79,7 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
     in
     Ok (if cert_bad then 1 else if Pipeline.degraded o then 2 else 0)
   in
-  obs_stop ~metrics ~trace_out;
+  Cli.obs_stop ~metrics ~trace_out;
   match result with
   | Ok code -> code
   | Error msg ->
@@ -134,8 +88,9 @@ let run method_name hw_name input show_circuit timeout_ms max_conflicts jobs
 
 let method_arg =
   let doc =
-    "Adaptation method: direct, kak-cz, kak-czdb, tmp-f, tmp-r, sat-f, sat-r, \
-     sat-p, greedy-p."
+    "Adaptation method: "
+    ^ String.concat ", " (List.map fst Pipeline.method_names)
+    ^ "."
   in
   Arg.(value & opt string "sat-p" & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
 
@@ -151,66 +106,18 @@ let show_arg =
   let doc = "Print the adapted circuit." in
   Arg.(value & flag & info [ "c"; "circuit" ] ~doc)
 
-let timeout_arg =
-  let doc =
-    "Wall-clock budget in milliseconds. On exhaustion the degradation \
-     ladder serves the request from a cheaper tier (exit code 2)."
-  in
-  Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
-
-let conflicts_arg =
-  let doc = "Cap on CDCL conflicts across all solver calls." in
-  Arg.(value & opt (some int) None & info [ "max-conflicts" ] ~docv:"N" ~doc)
-
 let jobs_arg =
-  let doc =
-    "Race $(docv) diversified CDCL seats per OMT round on OCaml domains \
-     (first decisive seat wins, the rest are cancelled). 1 = sequential. \
-     Defaults to $(b,QCA_JOBS) when set."
-  in
-  Arg.(value & opt int default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let no_simplify_arg =
-  let doc =
-    "Disable CDCL inprocessing (subsumption, variable elimination, probing, \
-     vivification) in every solver call of the pipeline."
-  in
-  Arg.(value & flag & info [ "no-simplify" ] ~doc)
-
-let no_share_arg =
-  let doc =
-    "Disable the lock-free learnt-clause exchange between portfolio seats \
-     (only meaningful with --jobs > 1)."
-  in
-  Arg.(value & flag & info [ "no-share" ] ~doc)
-
-let certify_arg =
-  let doc =
-    "Certify the adapted circuit end to end: unitary equivalence with the \
-     input and recomputed metrics against the claimed objective. A failed \
-     certificate exits 1."
-  in
-  Arg.(value & flag & info [ "certify" ] ~doc)
-
-let metrics_arg =
-  let doc = "Print the metrics-registry summary to stderr on exit." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let trace_out_arg =
-  let doc =
-    "Record a trace of every pipeline phase and write it as Chrome \
-     trace_event JSON to $(docv) (open in chrome://tracing or Perfetto). \
-     Implies $(b,--metrics) collection; the snapshot is embedded in the \
-     trace."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+  Cli.jobs
+    ~doc:
+      "Race $(docv) diversified CDCL seats per OMT round on OCaml domains \
+       (first decisive seat wins, the rest are cancelled)."
 
 let cmd =
   let doc = "adapt a quantum circuit to the spin-qubit gate set" in
   Cmd.v (Cmd.info "qca-adapt" ~doc)
     Term.(
-      const run $ method_arg $ hw_arg $ input_arg $ show_arg $ timeout_arg
-      $ conflicts_arg $ jobs_arg $ no_simplify_arg $ no_share_arg
-      $ certify_arg $ metrics_arg $ trace_out_arg)
+      const run $ method_arg $ hw_arg $ input_arg $ show_arg $ Cli.timeout_ms
+      $ Cli.max_conflicts $ jobs_arg $ Cli.no_simplify $ Cli.certify
+      $ Cli.metrics $ Cli.trace_out)
 
 let () = exit (Cmd.eval' cmd)

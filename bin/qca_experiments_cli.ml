@@ -9,29 +9,9 @@ module Workloads = Qca_workloads.Workloads
 module Hardware = Qca_adapt.Hardware
 module Solver = Qca_sat.Solver
 module Clock = Qca_util.Clock
-module Obs = Qca_obs.Metrics
 module Trace = Qca_obs.Trace
 
 let fmt = Format.std_formatter
-
-(* Shared by all four CLIs: --jobs defaults to $QCA_JOBS, else 1. *)
-let default_jobs =
-  match Option.bind (Sys.getenv_opt "QCA_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> 1
-
-let obs_stop ~metrics ~trace_out =
-  (match trace_out with Some file -> Trace.write_chrome file | None -> ());
-  if metrics then Format.eprintf "%a@." Obs.pp_summary ()
-
-(* An interrupted run must not lose its trace: flush the observability
-   output on SIGINT/SIGTERM as well as on the normal exit path. *)
-let obs_start ~metrics ~trace_out =
-  if metrics || trace_out <> None then begin
-    Obs.set_enabled true;
-    Qca_obs.Sigexit.install ~flush:(fun () -> obs_stop ~metrics ~trace_out)
-  end;
-  if trace_out <> None then Trace.set_enabled true
 
 (* One line per completed adaptation so long matrix runs show motion;
    stderr keeps the artifact tables on stdout clean. Under --jobs the
@@ -42,21 +22,16 @@ let progress_line t_start p =
     (Clock.ms_between t_start (Clock.now ()) /. 1000.0)
     p.E.p_case p.E.p_method p.E.p_tier p.E.p_elapsed_ms
 
-let hw_of_string = function
-  | "d0" -> Ok Hardware.d0
-  | "d1" -> Ok Hardware.d1
-  | other -> Error (Printf.sprintf "unknown hardware variant %S" other)
-
 let artifacts = [ "table1"; "eq11"; "fig5"; "fig6"; "fig7"; "all" ]
 
 let suite fast =
   if fast then Workloads.simulation_suite () else Workloads.evaluation_suite ()
 
-let run what hw_name fast timeout_ms jobs no_simplify no_share csv_out metrics
-    trace_out =
-  obs_start ~metrics ~trace_out;
+let run what hw_name fast timeout_ms jobs no_simplify csv_out metrics trace_out
+    =
+  Cli.obs_start ~metrics ~trace_out;
   let checked =
-    if List.mem what artifacts then hw_of_string hw_name
+    if List.mem what artifacts then Hardware.of_string hw_name
     else
       Error
         (Printf.sprintf "unknown artifact %S (expected %s)" what
@@ -88,8 +63,8 @@ let run what hw_name fast timeout_ms jobs no_simplify no_share csv_out metrics
     let figs56 () =
       note
         (Trace.span "fig5_fig6" (fun () ->
-             E.fig5_fig6 ~options ?timeout_ms ~jobs ~share:(not no_share)
-               ~on_progress hw (suite fast)))
+             E.fig5_fig6 ~options ?timeout_ms ~jobs ~on_progress hw
+               (suite fast)))
     in
     let sim () =
       note_sim
@@ -112,7 +87,7 @@ let run what hw_name fast timeout_ms jobs no_simplify no_share csv_out metrics
       let sim_rows = sim () in
       E.print_fig7 fmt sim_rows;
       E.print_headline fmt (E.headline_of rows sim_rows));
-    obs_stop ~metrics ~trace_out;
+    Cli.obs_stop ~metrics ~trace_out;
     if !some_degraded then begin
       prerr_endline "warning: some rows were served degraded under the budget";
       2
@@ -131,36 +106,6 @@ let fast_arg =
   let doc = "Use the smaller simulation suite for fig5/fig6 too." in
   Arg.(value & flag & info [ "fast" ] ~doc)
 
-let timeout_arg =
-  let doc =
-    "Per-adaptation wall-clock budget in milliseconds; degraded rows \
-     are flagged and the exit code becomes 2."
-  in
-  Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Spread the (case × method) adaptation matrix over $(docv) OCaml \
-     domains with a work-stealing pool. Row order is unchanged; progress \
-     lines may interleave. 1 = sequential. Defaults to $(b,QCA_JOBS) \
-     when set."
-  in
-  Arg.(value & opt int default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let no_simplify_arg =
-  let doc =
-    "Disable CDCL inprocessing (subsumption, variable elimination, probing, \
-     vivification) in every adaptation of the matrix."
-  in
-  Arg.(value & flag & info [ "no-simplify" ] ~doc)
-
-let no_share_arg =
-  let doc =
-    "Disable the learnt-clause exchange between portfolio seats (only \
-     meaningful with --jobs > 1)."
-  in
-  Arg.(value & flag & info [ "no-share" ] ~doc)
-
 let csv_arg =
   let doc =
     "Also write the Fig. 5/6 rows as CSV to $(docv), including the \
@@ -168,24 +113,19 @@ let csv_arg =
   in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
-let metrics_arg =
-  let doc = "Print the metrics-registry summary to stderr on exit." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let trace_out_arg =
-  let doc =
-    "Write a Chrome trace_event JSON trace of the run to $(docv) \
-     (open in chrome://tracing or Perfetto)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+let jobs_arg =
+  Cli.jobs
+    ~doc:
+      "Spread the (case × method) adaptation matrix over $(docv) OCaml \
+       domains with a work-stealing pool. Row order is unchanged; progress \
+       lines may interleave."
 
 let cmd =
   let doc = "regenerate the evaluation tables and figures" in
   Cmd.v
     (Cmd.info "qca-experiments" ~doc)
     Term.(
-      const run $ what_arg $ hw_arg $ fast_arg $ timeout_arg $ jobs_arg
-      $ no_simplify_arg $ no_share_arg $ csv_arg
-      $ metrics_arg $ trace_out_arg)
+      const run $ what_arg $ hw_arg $ fast_arg $ Cli.timeout_ms $ jobs_arg
+      $ Cli.no_simplify $ csv_arg $ Cli.metrics $ Cli.trace_out)
 
 let () = exit (Cmd.eval' cmd)

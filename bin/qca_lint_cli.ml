@@ -15,51 +15,8 @@ open Cmdliner
 module Block = Qca_circuit.Block
 module Parse = Qca_circuit.Parse
 module Solver = Qca_sat.Solver
-module Obs = Qca_obs.Metrics
 module Trace = Qca_obs.Trace
 open Qca_adapt
-
-(* Shared by all four CLIs: --jobs defaults to $QCA_JOBS, else 1. *)
-let default_jobs =
-  match Option.bind (Sys.getenv_opt "QCA_JOBS") int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> 1
-
-let obs_stop ~metrics ~trace_out =
-  (match trace_out with Some file -> Trace.write_chrome file | None -> ());
-  if metrics then Format.eprintf "%a@." Obs.pp_summary ()
-
-(* An interrupted run must not lose its trace: flush the observability
-   output on SIGINT/SIGTERM as well as on the normal exit path. *)
-let obs_start ~metrics ~trace_out =
-  if metrics || trace_out <> None then begin
-    Obs.set_enabled true;
-    Qca_obs.Sigexit.install ~flush:(fun () -> obs_stop ~metrics ~trace_out)
-  end;
-  if trace_out <> None then Trace.set_enabled true
-
-let hw_of_string = function
-  | "d0" -> Ok Hardware.d0
-  | "d1" -> Ok Hardware.d1
-  | other -> Error (Printf.sprintf "unknown hardware variant %S" other)
-
-let method_of_string = function
-  | "sat-f" -> Ok (Pipeline.Sat Model.Sat_f)
-  | "sat-r" -> Ok (Pipeline.Sat Model.Sat_r)
-  | "sat-p" -> Ok (Pipeline.Sat Model.Sat_p)
-  | "greedy-p" -> Ok (Pipeline.Greedy Model.Sat_p)
-  | "tmp-f" -> Ok Pipeline.Template_f
-  | "tmp-r" -> Ok Pipeline.Template_r
-  | "kak-cz" -> Ok Pipeline.Kak_only_cz
-  | "kak-czdb" -> Ok Pipeline.Kak_only_cz_db
-  | "direct" -> Ok Pipeline.Direct
-  | other -> Error (Printf.sprintf "unknown method %S" other)
-
-let read_input = function
-  | "-" -> Ok (In_channel.input_all stdin)
-  | path -> (
-    try Ok (In_channel.with_open_text path In_channel.input_all)
-    with Sys_error msg -> Error msg)
 
 let report name issues =
   List.iter (fun i -> Format.printf "%s: %a@." name Lint.pp_issue i) issues;
@@ -67,12 +24,12 @@ let report name issues =
 
 let run input hw_name certify method_name timeout_ms jobs no_simplify metrics
     trace_out =
-  obs_start ~metrics ~trace_out;
+  Cli.obs_start ~metrics ~trace_out;
   let ( let* ) = Result.bind in
   let result =
-    let* hw = hw_of_string hw_name in
-    let* method_ = method_of_string method_name in
-    let* text = read_input input in
+    let* hw = Hardware.of_string hw_name in
+    let* method_ = Pipeline.method_of_string method_name in
+    let* text = Cli.read_input input in
     let* circuit =
       match Trace.span "parse" (fun () -> Parse.parse text) with
       | Ok c -> Ok c
@@ -114,7 +71,7 @@ let run input hw_name certify method_name timeout_ms jobs no_simplify metrics
     in
     Ok (if model_bad || certify_bad then 1 else 0)
   in
-  obs_stop ~metrics ~trace_out;
+  Cli.obs_stop ~metrics ~trace_out;
   match result with
   | Ok code -> code
   | Error msg ->
@@ -129,52 +86,21 @@ let hw_arg =
   let doc = "Hardware timing variant (Table I): d0 or d1." in
   Arg.(value & opt string "d0" & info [ "hw" ] ~docv:"HW" ~doc)
 
-let certify_arg =
-  let doc =
-    "Also run the adaptation and certify the result end to end (unitary \
-     equivalence, recomputed metrics vs the claimed objective)."
-  in
-  Arg.(value & flag & info [ "certify" ] ~doc)
-
 let method_arg =
   let doc = "Adaptation method certified under --certify." in
   Arg.(value & opt string "sat-p" & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
 
-let timeout_arg =
-  let doc = "Wall-clock budget for --certify's adaptation, milliseconds." in
-  Arg.(value & opt (some float) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
-
 let jobs_arg =
-  let doc =
-    "Portfolio width for --certify's adaptation (diversified CDCL seats \
-     raced per OMT round). 1 = sequential. Defaults to $(b,QCA_JOBS) \
-     when set."
-  in
-  Arg.(value & opt int default_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let no_simplify_arg =
-  let doc =
-    "Disable CDCL inprocessing (subsumption, variable elimination, probing, \
-     vivification) in --certify's adaptation."
-  in
-  Arg.(value & flag & info [ "no-simplify" ] ~doc)
-
-let metrics_arg =
-  let doc = "Print the metrics-registry summary to stderr on exit." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let trace_out_arg =
-  let doc =
-    "Write a Chrome trace_event JSON trace of the run to $(docv) \
-     (open in chrome://tracing or Perfetto)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+  Cli.jobs
+    ~doc:
+      "Portfolio width for --certify's adaptation (diversified CDCL seats \
+       raced per OMT round)."
 
 let cmd =
   let doc = "lint the SMT adaptation model and certify adaptations" in
   Cmd.v (Cmd.info "qca-lint" ~doc)
     Term.(
-      const run $ input_arg $ hw_arg $ certify_arg $ method_arg $ timeout_arg
-      $ jobs_arg $ no_simplify_arg $ metrics_arg $ trace_out_arg)
+      const run $ input_arg $ hw_arg $ Cli.certify $ method_arg $ Cli.timeout_ms
+      $ jobs_arg $ Cli.no_simplify $ Cli.metrics $ Cli.trace_out)
 
 let () = exit (Cmd.eval' cmd)

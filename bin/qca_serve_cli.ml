@@ -25,8 +25,8 @@ let port_arg =
 
 let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
     cache_capacity template_capacity default_timeout_ms max_timeout_ms
-    max_request_bytes retries certify revalidate_period no_simplify
-    no_share fault_spec dump_dir slow_ms watchdog_ms =
+    max_request_bytes retries certify revalidate_period no_simplify fault_spec
+    dump_dir slow_ms watchdog_ms =
   match
     match fault_spec with
     | None -> Ok Fault.none
@@ -48,7 +48,6 @@ let daemon host port workers jobs queue_capacity shed_fraction direct_fraction
         direct_fraction;
         cache_capacity;
         template_capacity;
-        share = not no_share;
         default_timeout_ms;
         max_timeout_ms;
         max_request_bytes;
@@ -155,17 +154,6 @@ let daemon_cmd =
     in
     Arg.(value & opt int 8 & info [ "revalidate-period" ] ~docv:"N" ~doc)
   in
-  let no_simplify =
-    let doc = "Disable CDCL inprocessing in every solve." in
-    Arg.(value & flag & info [ "no-simplify" ] ~doc)
-  in
-  let no_share =
-    let doc =
-      "Disable the learnt-clause exchange between portfolio seats (only \
-       meaningful with --jobs > 1)."
-    in
-    Arg.(value & flag & info [ "no-share" ] ~doc)
-  in
   let fault =
     let doc =
       "Deterministic fault-injection plan (SITE:N:ACTION, see qca-sat \
@@ -202,30 +190,24 @@ let daemon_cmd =
     Term.(
       const daemon $ host_arg $ port_arg $ workers $ jobs $ queue $ shed_at
       $ direct_at $ cache $ templates $ default_timeout $ max_timeout
-      $ max_bytes $ retries $ certify $ revalidate $ no_simplify
-      $ no_share $ fault $ dump_dir $ slow_ms $ watchdog_ms)
+      $ max_bytes $ retries $ certify $ revalidate $ Cli.no_simplify $ fault
+      $ dump_dir $ slow_ms $ watchdog_ms)
 
 (* {1 client subcommands} *)
-
-let read_input = function
-  | "-" -> Ok (In_channel.input_all stdin)
-  | path -> (
-    try Ok (In_channel.with_open_text path In_channel.input_all)
-    with Sys_error msg -> Error msg)
 
 let adapt host port method_name hw_name format_name input show_circuit
     timeout_ms max_conflicts no_cache traceparent =
   let ( let* ) = Result.bind in
   let result =
-    let* method_ = Protocol.method_of_string method_name in
-    let* hardware = Protocol.hardware_of_string hw_name in
+    let* method_ = Qca_adapt.Pipeline.method_of_string method_name in
+    let* hardware = Qca_adapt.Hardware.of_string hw_name in
     let* format =
       match format_name with
       | "text" -> Ok Protocol.Text
       | "qasm" -> Ok Protocol.Qasm
       | other -> Error (Printf.sprintf "unknown format %S" other)
     in
-    let* circuit_text = read_input input in
+    let* circuit_text = Cli.read_input input in
     let request =
       Protocol.Adapt
         {
@@ -290,8 +272,9 @@ let adapt host port method_name hw_name format_name input show_circuit
 let adapt_cmd =
   let method_ =
     let doc =
-      "Adaptation method: direct, kak-cz, kak-czdb, tmp-f, tmp-r, sat-f, \
-       sat-r, sat-p, greedy-f, greedy-r, greedy-p."
+      "Adaptation method: "
+      ^ String.concat ", " (List.map fst Qca_adapt.Pipeline.method_names)
+      ^ "."
     in
     Arg.(value & opt string "sat-p" & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
   in

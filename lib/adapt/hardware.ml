@@ -43,6 +43,12 @@ let d1 =
     swap_c = { duration = 13; fidelity = 0.999 };
   }
 
+let of_string s =
+  let key = String.lowercase_ascii s in
+  match List.find_opt (fun h -> String.lowercase_ascii h.name = key) [ d0; d1 ] with
+  | Some h -> Ok h
+  | None -> Error (Printf.sprintf "unknown hardware variant %S" s)
+
 let spec_of t gate =
   match gate with
   | Gate.Single (_, _) -> Some t.su2

@@ -24,6 +24,10 @@ type t = {
 val d0 : t
 val d1 : t
 
+val of_string : string -> (t, string) result
+(** [d0] or [d1] by {!field-name}, case-insensitively ("d0", "D1"): the
+    one parser behind every CLI's [--hw] and the serve protocol. *)
+
 val is_native : t -> Gate.t -> bool
 (** Native set: any single-qubit gate (executed as one SU(2) pulse),
     [Cz], [Cz_db], the conditional rotations ([Crx]/[Cry]/[Crz]),

@@ -40,8 +40,8 @@ type t = {
      seats alive across OMT rounds (and across reusable runs);
      [selectors] memoizes the pruning totalizer per objective, so a
      reused template never re-encodes a bound it has seen. *)
-  mutable session : (int * bool * Portfolio.session) option;
-      (* (jobs, share, seats) — recreated when either knob changes *)
+  mutable session : (int * Portfolio.session) option;
+      (* (jobs, seats) — recreated when [jobs] changes *)
   selectors : (objective, Totalizer.selector) Hashtbl.t;
 }
 
@@ -264,7 +264,7 @@ let greedy ?(budget = Solver.no_budget) ~site t obj =
   (mask, stop)
 
 let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
-    ?(share = true) ?(reuse = false) t obj =
+    ?(reuse = false) t obj =
   if t.consumed then Error `Already_consumed
   else begin
   if reuse then Obs.incr m_reuse_runs else t.consumed <- true;
@@ -367,10 +367,10 @@ let optimize ?round_budget ?(budget = Solver.no_budget) ?(jobs = 1)
      carry over. *)
   let session =
     match t.session with
-    | Some (j, sh, ss) when j = jobs && sh = share -> ss
+    | Some (j, ss) when j = jobs -> ss
     | _ ->
-      let ss = Portfolio.create_session ~share ~jobs sat in
-      t.session <- Some (jobs, share, ss);
+      let ss = Portfolio.create_session ~jobs sat in
+      t.session <- Some (jobs, ss);
       ss
   in
   let round_solve b =

@@ -58,7 +58,6 @@ val optimize :
   ?round_budget:int ->
   ?budget:Solver.budget ->
   ?jobs:int ->
-  ?share:bool ->
   ?reuse:bool ->
   t ->
   objective ->
@@ -86,9 +85,6 @@ val optimize :
     assumption literal over the memoized totalizer outputs, so learnt
     clauses, saved phases, VSIDS activities and simplification results
     carry from round to round.
-
-    [share] (default [true]) arms the lock-free learnt-clause exchange
-    between portfolio seats (no effect at [jobs = 1]).
 
     [reuse] (default [false]) makes the call non-consuming: the run's
     incumbent-exclusion clauses and path cuts are scoped under a fresh

@@ -37,6 +37,28 @@ let method_name = function
   | Greedy Model.Sat_r -> "GREEDY R"
   | Greedy Model.Sat_p -> "GREEDY P"
 
+let method_names =
+  [
+    ("direct", Direct);
+    ("kak-cz", Kak_only_cz);
+    ("kak-czdb", Kak_only_cz_db);
+    ("tmp-f", Template_f);
+    ("tmp-r", Template_r);
+    ("sat-f", Sat Model.Sat_f);
+    ("sat-r", Sat Model.Sat_r);
+    ("sat-p", Sat Model.Sat_p);
+    ("greedy-f", Greedy Model.Sat_f);
+    ("greedy-r", Greedy Model.Sat_r);
+    ("greedy-p", Greedy Model.Sat_p);
+  ]
+
+let method_of_string s =
+  match List.assoc_opt s method_names with
+  | Some m -> Ok m
+  | None -> Error (Printf.sprintf "unknown method %S" s)
+
+let method_to_string m = fst (List.find (fun (_, m') -> m' = m) method_names)
+
 let all_methods =
   [
     Kak_only_cz;
@@ -181,8 +203,7 @@ let degraded o = o.tier <> Full || o.reason <> None
    Every rung always terminates (the lower rungs are polynomial), so a
    governed request never hangs and never raises: the worst case is the
    direct basis translation, which is always a valid adapted circuit. *)
-let adapt_governed ?options ?budget ?(jobs = 1) ?(share = true) ?template hw
-    method_ circuit =
+let adapt_governed ?options ?budget ?(jobs = 1) ?template hw method_ circuit =
   let budget = match budget with Some b -> b | None -> Solver.budget () in
   let partition () =
     Trace.span "partition" (fun () -> Block.partition circuit)
@@ -299,7 +320,7 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(share = true) ?template hw
       let part, subs, model, reuse = front () in
       match
         Trace.span "solve" (fun () ->
-            Model.optimize ~budget ~jobs ~share ~reuse model obj)
+            Model.optimize ~budget ~jobs ~reuse model obj)
       with
       | Ok sol ->
         let tier =
@@ -329,9 +350,9 @@ let adapt_governed ?options ?budget ?(jobs = 1) ?(share = true) ?template hw
       let part, subs, model, _reuse = front () in
       greedy ~span:"solve" ~tier:Full part subs model obj)
 
-let adapt ?options ?jobs ?share hw method_ circuit =
-  (adapt_governed ?options ?jobs ?share hw method_ circuit).circuit
+let adapt ?options ?jobs hw method_ circuit =
+  (adapt_governed ?options ?jobs hw method_ circuit).circuit
 
-let adapt_template ?budget ?jobs ?share tm method_ =
-  adapt_governed ?budget ?jobs ?share ~template:tm tm.t_hw method_
+let adapt_template ?budget ?jobs tm method_ =
+  adapt_governed ?budget ?jobs ~template:tm tm.t_hw method_
     (template_circuit tm)

@@ -27,6 +27,18 @@ type method_ =
   | Greedy of Model.objective
 
 val method_name : method_ -> string
+(** The display name used in tables and traces ("SAT P"). *)
+
+val method_names : (string * method_) list
+(** Every method under its command-line and wire name ("sat-p"), in
+    one table that both directions below read. *)
+
+val method_of_string : string -> (method_, string) result
+(** The one parser behind every CLI's [--method] and the serve
+    protocol. *)
+
+val method_to_string : method_ -> string
+(** Inverse of {!method_of_string}. *)
 
 val all_methods : method_ list
 (** The seven methods evaluated in the paper's figures, in plot order
@@ -41,7 +53,6 @@ type info = {
 val adapt :
   ?options:Solver.options ->
   ?jobs:int ->
-  ?share:bool ->
   Hardware.t ->
   method_ ->
   Circuit.t ->
@@ -50,10 +61,8 @@ val adapt :
     unlimited budget. The result contains only native gates and is
     unitary-equivalent to the input (up to global phase). [jobs > 1]
     enables portfolio solving on the SAT method's OMT rounds (see
-    {!Qca_adapt.Model.optimize}); default 1 = sequential. [share]
-    (default [true]) arms learnt-clause exchange between portfolio
-    seats at [jobs > 1]. The adapted circuit's objective value is
-    identical under every combination. *)
+    {!Qca_adapt.Model.optimize}); default 1 = sequential. The adapted
+    circuit's objective value is identical under every [jobs]. *)
 
 val apply_substitutions :
   Qca_circuit.Block.t -> Rules.t list -> Circuit.t
@@ -133,7 +142,6 @@ val adapt_governed :
   ?options:Solver.options ->
   ?budget:Solver.budget ->
   ?jobs:int ->
-  ?share:bool ->
   ?template:template ->
   Hardware.t ->
   method_ ->
@@ -144,7 +152,6 @@ val adapt_governed :
     every method. Total: never raises, never hangs — see the ladder
     above. [jobs] as in {!adapt}: a portfolio of diversified CDCL seats
     per OMT round, cancelled cooperatively through this same budget.
-    [share] as in {!adapt}.
     With [template] (which must have been {!prepare}d for the same
     hardware and circuit) the partition/match/encode phases are skipped
     and the optimization runs non-consuming, leaving the template ready
@@ -153,7 +160,6 @@ val adapt_governed :
 val adapt_template :
   ?budget:Solver.budget ->
   ?jobs:int ->
-  ?share:bool ->
   template ->
   method_ ->
   outcome

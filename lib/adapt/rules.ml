@@ -128,7 +128,12 @@ let kak_substitutions hw part (blk : Block.block) ~fresh =
       }
     in
     (match Synth.two_qubit_on_each [ Synth.Use_cz; Synth.Use_cz_db ] u ~a ~b with
-    | [ r_cz; r_cz_db ] -> [ make Kak_cz r_cz; make Kak_cz_db r_cz_db ]
+    | [ r_cz; r_cz_db ] ->
+      (* bound in id order: Kak_cz_db takes the lower id, and the list
+         keeps ids ascending as {!find_all} promises *)
+      let cz_db = make Kak_cz_db r_cz_db in
+      let cz = make Kak_cz r_cz in
+      [ cz_db; cz ]
     | _ -> assert false)
 
 let find_all hw part =

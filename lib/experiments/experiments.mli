@@ -43,7 +43,6 @@ val evaluate_case :
   ?options:Qca_sat.Solver.options ->
   ?timeout_ms:float ->
   ?jobs:int ->
-  ?share:bool ->
   ?on_progress:(progress -> unit) ->
   Hardware.t ->
   Workloads.case ->
@@ -55,15 +54,13 @@ val evaluate_case :
     (degraded rows are flagged). [jobs > 1] adapts the methods
     concurrently on a {!Qca_par.Pool} of OCaml domains; rows keep
     their order. On the sequential path the case's SMT methods share
-    one encoded {!Pipeline.prepare} template. [share] arms seat-to-seat
-    clause exchange for portfolio rounds. *)
+    one encoded {!Pipeline.prepare} template. *)
 
 val fig5_fig6 :
   ?methods:Pipeline.method_ list ->
   ?options:Qca_sat.Solver.options ->
   ?timeout_ms:float ->
   ?jobs:int ->
-  ?share:bool ->
   ?on_progress:(progress -> unit) ->
   Hardware.t ->
   Workloads.case list ->

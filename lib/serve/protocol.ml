@@ -59,40 +59,6 @@ type response =
 
 (* {1 Names} *)
 
-let method_of_string = function
-  | "direct" -> Ok Pipeline.Direct
-  | "kak-cz" -> Ok Pipeline.Kak_only_cz
-  | "kak-czdb" -> Ok Pipeline.Kak_only_cz_db
-  | "tmp-f" -> Ok Pipeline.Template_f
-  | "tmp-r" -> Ok Pipeline.Template_r
-  | "sat-f" -> Ok (Pipeline.Sat Model.Sat_f)
-  | "sat-r" -> Ok (Pipeline.Sat Model.Sat_r)
-  | "sat-p" -> Ok (Pipeline.Sat Model.Sat_p)
-  | "greedy-f" -> Ok (Pipeline.Greedy Model.Sat_f)
-  | "greedy-r" -> Ok (Pipeline.Greedy Model.Sat_r)
-  | "greedy-p" -> Ok (Pipeline.Greedy Model.Sat_p)
-  | other -> Error (Printf.sprintf "unknown method %S" other)
-
-let method_to_string = function
-  | Pipeline.Direct -> "direct"
-  | Pipeline.Kak_only_cz -> "kak-cz"
-  | Pipeline.Kak_only_cz_db -> "kak-czdb"
-  | Pipeline.Template_f -> "tmp-f"
-  | Pipeline.Template_r -> "tmp-r"
-  | Pipeline.Sat Model.Sat_f -> "sat-f"
-  | Pipeline.Sat Model.Sat_r -> "sat-r"
-  | Pipeline.Sat Model.Sat_p -> "sat-p"
-  | Pipeline.Greedy Model.Sat_f -> "greedy-f"
-  | Pipeline.Greedy Model.Sat_r -> "greedy-r"
-  | Pipeline.Greedy Model.Sat_p -> "greedy-p"
-
-(* case-insensitive: the wire carries [Hardware.name], which is "D0" *)
-let hardware_of_string s =
-  match String.lowercase_ascii s with
-  | "d0" -> Ok Hardware.d0
-  | "d1" -> Ok Hardware.d1
-  | other -> Error (Printf.sprintf "unknown hardware variant %S" other)
-
 let tier_to_string = Pipeline.tier_name
 
 let tier_of_string = function
@@ -234,7 +200,7 @@ let encode_request = function
   | Adapt r ->
     let hs =
       [
-        ("method", method_to_string r.method_);
+        ("method", Pipeline.method_to_string r.method_);
         ("hardware", r.hardware.Hardware.name);
         ("format", match r.format with Text -> "text" | Qasm -> "qasm");
       ]
@@ -261,13 +227,13 @@ let decode_adapt s =
         match lookup hs "method" with
         | None -> Error (Bad_frame, "missing method header")
         | Some m ->
-          Result.map_error (fun e -> (Unsupported, e)) (method_of_string m)
+          Result.map_error (fun e -> (Unsupported, e)) (Pipeline.method_of_string m)
       in
       let* hardware =
         match lookup hs "hardware" with
         | None -> Ok Hardware.d0
         | Some h ->
-          Result.map_error (fun e -> (Unsupported, e)) (hardware_of_string h)
+          Result.map_error (fun e -> (Unsupported, e)) (Hardware.of_string h)
       in
       let* format =
         match lookup hs "format" with

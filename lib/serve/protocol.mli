@@ -81,12 +81,6 @@ type response =
 
 (** {1 Names} *)
 
-val method_of_string : string -> (Pipeline.method_, string) result
-(** CLI-compatible names: direct, kak-cz, kak-czdb, tmp-f, tmp-r,
-    sat-f, sat-r, sat-p, greedy-f, greedy-r, greedy-p. *)
-
-val method_to_string : Pipeline.method_ -> string
-val hardware_of_string : string -> (Hardware.t, string) result
 val tier_to_string : Pipeline.tier -> string
 val tier_of_string : string -> Pipeline.tier option
 val error_code_to_string : error_code -> string

@@ -45,7 +45,6 @@ type config = {
   direct_fraction : float;
   cache_capacity : int;
   template_capacity : int;
-  share : bool;
   default_timeout_ms : float;
   max_timeout_ms : float;
   max_request_bytes : int;
@@ -75,7 +74,6 @@ let default_config =
     direct_fraction = 0.875;
     cache_capacity = 256;
     template_capacity = 32;
-    share = true;
     default_timeout_ms = 2_000.0;
     max_timeout_ms = 30_000.0;
     max_request_bytes = Wire.default_max_bytes;
@@ -197,12 +195,11 @@ let solve_with_retries t ~circuit ~canonical ~eff_method ~deadline_at
               Pipeline.prepare ~options:cfg.options r.Protocol.hardware
                 circuit)
             (fun tmpl ->
-              Pipeline.adapt_template ~budget ~jobs:cfg.solver_jobs
-                ~share:cfg.share tmpl eff_method)
+              Pipeline.adapt_template ~budget ~jobs:cfg.solver_jobs tmpl
+                eff_method)
         else
           Pipeline.adapt_governed ~options:cfg.options ~budget
-            ~share:cfg.share ~jobs:cfg.solver_jobs r.Protocol.hardware
-            eff_method circuit
+            ~jobs:cfg.solver_jobs r.Protocol.hardware eff_method circuit
     in
     let transient =
       match outcome.Pipeline.reason with
@@ -232,7 +229,7 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
   Trace.span "serve.request"
     ~args:
       [
-        ("method", Protocol.method_to_string r.Protocol.method_);
+        ("method", Pipeline.method_to_string r.Protocol.method_);
         ("shed", Protocol.shed_to_string shed);
       ]
   @@ fun () ->
@@ -256,7 +253,7 @@ let serve_adapt t ~shed ~queue_ms (r : Protocol.adapt_request) =
     let canonical = Parse.to_text circuit in
     let ckey =
       Cache.key ~hardware:hw.Hardware.name
-        ~method_:(Protocol.method_to_string eff_method)
+        ~method_:(Pipeline.method_to_string eff_method)
         ~circuit:canonical
     in
     let digest = Cache.digest_hex ckey in
@@ -428,7 +425,7 @@ let serve_tracked t ~shed ~queue_ms ~traceparent r =
       | Some reason ->
         let describe =
           [
-            ("method", Protocol.method_to_string r.Protocol.method_);
+            ("method", Pipeline.method_to_string r.Protocol.method_);
             ("shed", Protocol.shed_to_string shed);
             ("elapsed_ms", Printf.sprintf "%.3f" elapsed_ms);
             ("queue_ms", Printf.sprintf "%.3f" queue_ms);
@@ -597,7 +594,7 @@ let handle_http t fd shed ~queue_ms first4 =
                 | Some m ->
                   Result.map_error
                     (fun e -> (400, e))
-                    (Protocol.method_of_string m)
+                    (Pipeline.method_of_string m)
               in
               let* hardware =
                 match param "hw" with
@@ -605,7 +602,7 @@ let handle_http t fd shed ~queue_ms first4 =
                 | Some h ->
                   Result.map_error
                     (fun e -> (400, e))
-                    (Protocol.hardware_of_string h)
+                    (Hardware.of_string h)
               in
               let* format =
                 match param "format" with

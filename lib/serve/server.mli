@@ -36,9 +36,6 @@ type config = {
   template_capacity : int;
       (** encoded-template store entries; every SAT and greedy request
           solves on the store's template for its hardware × circuit key *)
-  share : bool;
-      (** learnt-clause exchange between portfolio seats when
-          [solver_jobs > 1] (default true; [--no-share]) *)
   default_timeout_ms : float;  (** deadline when the request names none *)
   max_timeout_ms : float;  (** hard per-request deadline cap *)
   max_request_bytes : int;  (** frame/body byte cap *)

@@ -11,6 +11,43 @@ let hw = Hardware.d0
 
 (* {1 Hardware (Table I)} *)
 
+(* The one method/hardware parser: every method round-trips through its
+   name, names are unique, and hardware names parse case-insensitively. *)
+let test_names_roundtrip () =
+  let objectives = [ Model.Sat_f; Model.Sat_r; Model.Sat_p ] in
+  let every_method =
+    [
+      Pipeline.Direct;
+      Pipeline.Kak_only_cz;
+      Pipeline.Kak_only_cz_db;
+      Pipeline.Template_f;
+      Pipeline.Template_r;
+    ]
+    @ List.map (fun o -> Pipeline.Sat o) objectives
+    @ List.map (fun o -> Pipeline.Greedy o) objectives
+  in
+  List.iter
+    (fun m ->
+      let name = Pipeline.method_to_string m in
+      checkb name true (Pipeline.method_of_string name = Ok m))
+    every_method;
+  let names = List.map fst Pipeline.method_names in
+  checki "one name per method" (List.length every_method)
+    (List.length (List.sort_uniq compare names));
+  checkb "unknown method rejected" true
+    (Result.is_error (Pipeline.method_of_string "sat-x"));
+  List.iter
+    (fun (h : Hardware.t) ->
+      List.iter
+        (fun spelled ->
+          match Hardware.of_string spelled with
+          | Ok h' -> Alcotest.(check string) spelled h.name h'.Hardware.name
+          | Error e -> Alcotest.fail e)
+        [ h.name; String.lowercase_ascii h.name ])
+    [ Hardware.d0; Hardware.d1 ];
+  checkb "unknown hardware rejected" true
+    (Result.is_error (Hardware.of_string "d2"))
+
 let test_table1_values () =
   checki "SU2 D0" 30 (Hardware.duration Hardware.d0 (Gate.Single (Gate.H, 0)));
   checki "CZ D0" 152 (Hardware.duration Hardware.d0 (Gate.Two (Gate.Cz, 0, 1)));
@@ -119,6 +156,19 @@ let test_rule_matching () =
   checki "swap_c matches" 1 (List.length (by_kind Rules.Swap_native_c));
   checki "kak cz per block" 2 (List.length (by_kind Rules.Kak_cz));
   checki "kak cz_db per block" 2 (List.length (by_kind Rules.Kak_cz_db))
+
+(* ids are 0..n-1 in list order, so walking the list and walking ids
+   break ties alike (each block's KAK pair included) *)
+let test_find_all_ids_in_order () =
+  List.iter
+    (fun kase ->
+      let part = Block.partition kase.Qca_workloads.Workloads.circuit in
+      let subs = Rules.find_all hw part in
+      Alcotest.(check (list int))
+        kase.Qca_workloads.Workloads.label
+        (List.init (List.length subs) Fun.id)
+        (List.map (fun s -> s.Rules.id) subs))
+    (Qca_workloads.Workloads.evaluation_suite ())
 
 let test_rule_deltas () =
   let part = Block.partition paper_like_circuit in
@@ -357,4 +407,6 @@ let suite =
     ("metrics sanity", `Quick, test_metrics_sanity);
     ("percent helpers", `Quick, test_percent_helpers);
     ("solver option ablation", `Quick, test_solver_options_threaded);
+    ("method/hardware names roundtrip", `Quick, test_names_roundtrip);
+    ("find_all ids in list order", `Quick, test_find_all_ids_in_order);
   ]

@@ -57,6 +57,10 @@ let test_differential_verdicts () =
     (* the eager pass makes the inprocessing run regardless of whether
        the search would ever restart on so small an instance *)
     Solver.simplify ~force:true simp;
+    (* inprocessing deletes clauses that may be root-level reasons; the
+       arena compaction after it must leave no reason on a dead clause *)
+    Alcotest.(check (list string)) "audit clean after simplify" []
+      (Audit.check simp);
     let r_raw = Solver.solve raw and r_simp = Solver.solve simp in
     checkb "verdicts agree" true (r_raw = r_simp);
     (match r_simp with
